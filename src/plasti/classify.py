@@ -11,16 +11,15 @@ reported as window-consistent candidates, never as proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MapError, MetadataUnvalidated, PlastiError
+from .errors import MetadataUnvalidated, PlastiError
 from .maps import (
     AffinePiece,
     IndexShift,
     MapDescription,
-    Table,
     check_bijection,
     check_endomorphism,
     check_isometry,

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .classify import classify, verify_witness
-from .errors import PlastiError
+from .errors import CapExceeded, ParseError, PlastiError
 from .extend import check_metric_axioms, check_restriction, path_infimum_metric, railway_extension
 from .gallery import GALLERY_IDS, gallery_entry, verify_entry
 from .maps import (
@@ -30,7 +30,12 @@ from .maps import (
     check_nonexpansive,
     lipschitz_upper,
 )
-from .oracle import plastic_bruteforce, strongly_plastic_bruteforce
+from .oracle import (
+    BIJECTION_HARD_CAP,
+    SELFMAP_HARD_CAP,
+    plastic_bruteforce,
+    strongly_plastic_bruteforce,
+)
 from .parser import parse_map, parse_matrix, parse_space, render_map
 from .plot import build_plot, render_svg
 from .scalar import format_scalar, parse_scalar
@@ -150,22 +155,35 @@ def _cmd_classify(args) -> int:
     return PASS
 
 
-def _parse_points(text: str) -> tuple:
+def _parse_points(text: str, limit: int) -> tuple:
+    """The --points list. A LO..HI range wider than ``limit``, the oracle's
+    hard cap, is refused before it is built."""
     values = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
             lo_text, _, hi_text = token.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
+            try:
+                lo, hi = int(lo_text), int(hi_text)
+            except ValueError:
+                raise ParseError(f"--points range {token!r} needs integer ends") from None
+            if hi - lo + 1 > limit:
+                raise CapExceeded(
+                    f"--points range {token} has {hi - lo + 1} points, more than the hard limit of {limit}"
+                )
             values.extend(Fraction(k) for k in range(lo, hi + 1))
         elif token:
-            values.append(parse_scalar(token))
+            try:
+                values.append(parse_scalar(token))
+            except ValueError as exc:
+                raise ParseError(f"--points: {exc}") from None
     return tuple(sorted(set(values)))
 
 
 def _cmd_oracle(args) -> int:
     if args.points:
-        points = _parse_points(args.points)
+        hard = SELFMAP_HARD_CAP if args.strong else BIJECTION_HARD_CAP
+        points = _parse_points(args.points, hard)
     else:
         from .space import materialize
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Optional, Union
 
@@ -119,10 +120,6 @@ def full_line() -> Interval:
     return Interval(Endpoint(NEG_INF, False), Endpoint(POS_INF, False))
 
 
-def identity_map() -> MapDescription:
-    return MapDescription(clauses=(AffinePiece(full_line(), Fraction(1), Fraction(0)),))
-
-
 # --- gallery reference resolution -----------------------------------
 #
 # The gallery registers a resolver at import time; maps stays free of a
@@ -208,6 +205,11 @@ def eval_map(
     desc = resolve(desc)
     if not contains(space, x, cap):
         raise OutsideDomain(f"{format_scalar(x)} is not a member of the space")
+    return _eval_member(desc, space, x, cap)
+
+
+def _eval_member(desc: MapDescription, space: SubspaceDescription, x: Scalar, cap: int) -> Scalar:
+    """eval_map for a resolved map at an x already known to be a member."""
     return _apply_clause(_claiming_clause(desc, space, x, cap), space, x, cap)
 
 
@@ -337,7 +339,16 @@ def collect_samples(
     anywhere on the window (a stretch or single member with zero or two
     claiming clauses), mirroring what evaluation would do there.
     """
-    desc = resolve(desc)
+    return _collect_samples(resolve(desc), space, window, cap)
+
+
+# One map's checks run back to back (the bijection check adds its
+# inverse), so two entries cover them. The bound keeps memory flat: each
+# entry pins a materialization and one exact image per window member.
+@lru_cache(maxsize=2)
+def _collect_samples(
+    desc: MapDescription, space: SubspaceDescription, window: Window, cap: int
+) -> WindowSamples:
     mat = materialize(space, window, cap)
     pts = list(mat.points)
     subsampled = False
@@ -395,8 +406,10 @@ def collect_samples(
                     limit_samples.append(Sample(x, s.piece.apply(x), False))
         spans.extend(frag_spans)
 
+    # materialized points, table keys that passed `contains` and fragment
+    # points are all members, so they skip eval_map's membership test
     point_samples = tuple(
-        Sample(x, eval_map(desc, space, x, cap), True) for x in sorted(member_xs)
+        Sample(x, _eval_member(desc, space, x, cap), True) for x in sorted(member_xs)
     )
     # A member cut point whose true image equals the piece limit makes the
     # duplicate limit sample redundant; keep limits only when they differ.
@@ -449,7 +462,7 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _scope(window: Window, ws: WindowSamples) -> str:
+def _scope(window: Window) -> str:
     return f"window {window}"
 
 
@@ -483,7 +496,7 @@ def check_endomorphism(
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     notes = _base_notes(ws)
-    scope = _scope(window, ws)
+    scope = _scope(window)
     for s in ws.point_samples:
         if not contains(space, s.value, cap):
             return CheckReport(
@@ -587,7 +600,7 @@ def check_nonexpansive(
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     notes = _base_notes(ws)
-    scope = _scope(window, ws)
+    scope = _scope(window)
     for span in ws.spans:
         if abs(span.piece.slope) > 1:
             q, m = span.inner_pair()
@@ -602,16 +615,53 @@ def check_nonexpansive(
                 ),
                 tuple(notes),
             )
-    for a, b in combinations(ws.all_samples, 2):
-        if _pair_defect(a, b) > 0:
-            return CheckReport(
-                "nonexpansive",
-                False,
-                scope,
-                _member_pair_witness(a, b, ws, "pair moves apart"),
-                tuple(notes),
-            )
+    if not _sweep_nonexpansive(ws.all_samples):
+        # the sweep decides; the pair loop finds the first witness in pair order
+        for a, b in combinations(ws.all_samples, 2):
+            if _pair_defect(a, b) > 0:
+                return CheckReport(
+                    "nonexpansive",
+                    False,
+                    scope,
+                    _member_pair_witness(a, b, ws, "pair moves apart"),
+                    tuple(notes),
+                )
     return CheckReport("nonexpansive", True, scope, None, tuple(notes))
+
+
+def _adjacent_pairs(samples: tuple):
+    ordered = sorted(samples, key=lambda s: s.x)
+    return zip(ordered, ordered[1:])
+
+
+def _sweep_nonexpansive(samples: tuple) -> bool:
+    """Whether no pair of samples moves apart.
+
+    For x <= y <= z on the line |x-z| = |x-y| + |y-z|, so by the triangle
+    inequality a pair moves apart only if some pair adjacent in x order
+    does: the adjacent pairs decide all pairs exactly.
+    """
+    return all(_pair_defect(a, b) <= 0 for a, b in _adjacent_pairs(samples))
+
+
+def _sweep_isometry(samples: tuple) -> bool:
+    """Whether every pair of samples keeps its distance.
+
+    That holds exactly when the values follow x -> sign*x + c: every
+    adjacent step in x order keeps its length, the steps share one
+    orientation, and a repeated x carries one value.
+    """
+    orientation = 0
+    for a, b in _adjacent_pairs(samples):
+        dx, dv = b.x - a.x, b.value - a.value
+        if abs(dv) != dx:
+            return False
+        if dx:
+            sign = 1 if dv > 0 else -1
+            if orientation and sign != orientation:
+                return False
+            orientation = sign
+    return True
 
 
 def lipschitz_upper(
@@ -648,7 +698,7 @@ def check_bijection(
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     notes = _base_notes(ws)
-    scope = _scope(window, ws)
+    scope = _scope(window)
     for span in ws.spans:
         if span.piece.slope == 0:
             q, m = span.inner_pair()
@@ -697,7 +747,7 @@ def check_bijection(
                         tuple(notes),
                     )
     if desc.inverse is not None:
-        inv = desc.inverse
+        inv = resolve(desc.inverse)
         # Validating the inverse's clause cover matters even when the
         # forward side sampled no members (pure interval spaces): a member
         # no inverse clause claims is a member the image misses.
@@ -711,7 +761,7 @@ def check_bijection(
                     Witness((s.x,), (s.value,), "image leaves the space, cannot be onto"),
                     tuple(notes),
                 )
-            back = eval_map(inv, space, s.value, cap)
+            back = _eval_member(inv, space, s.value, cap)
             if back != s.x:
                 return CheckReport(
                     "bijection",
@@ -729,7 +779,7 @@ def check_bijection(
                     Witness((s.x,), (s.value,), "declared inverse leaves the space"),
                     tuple(notes),
                 )
-            if eval_map(desc, space, s.value, cap) != s.x:
+            if _eval_member(desc, space, s.value, cap) != s.x:
                 return CheckReport(
                     "bijection",
                     False,
@@ -792,7 +842,7 @@ def check_isometry(
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     notes = _base_notes(ws)
-    scope = _scope(window, ws)
+    scope = _scope(window)
     for span in ws.spans:
         if abs(span.piece.slope) != 1:
             q, m = span.inner_pair()
@@ -807,15 +857,17 @@ def check_isometry(
                 ),
                 tuple(notes),
             )
-    for a, b in combinations(ws.all_samples, 2):
-        if abs(a.value - b.value) != abs(a.x - b.x):
-            return CheckReport(
-                "isometry",
-                False,
-                scope,
-                _member_iso_witness(a, b, ws),
-                tuple(notes),
-            )
+    if not _sweep_isometry(ws.all_samples):
+        # the sweep decides; the pair loop finds the first witness in pair order
+        for a, b in combinations(ws.all_samples, 2):
+            if abs(a.value - b.value) != abs(a.x - b.x):
+                return CheckReport(
+                    "isometry",
+                    False,
+                    scope,
+                    _member_iso_witness(a, b, ws),
+                    tuple(notes),
+                )
     return CheckReport("isometry", True, scope, None, tuple(notes))
 
 
@@ -854,7 +906,7 @@ def check_between_preservation(
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     notes = _base_notes(ws)
-    scope = _scope(window, ws)
+    scope = _scope(window)
     probes = {(s.x, s.value) for s in ws.point_samples}
     for span in ws.spans:
         q, m = span.inner_pair()

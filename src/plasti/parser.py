@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import ParseError, PlastiError
-from .extend import INNER, OUTER, AugmentedSpace, DistanceMatrix, FiniteSpace, matrix_from_pairs
+from .extend import INNER, OUTER, AugmentedSpace, FiniteSpace, matrix_from_pairs
 from .maps import AffinePiece, IndexShift, MapDescription, Table
 from .scalar import format_scalar, parse_extended, parse_scalar
 from .space import (

@@ -13,8 +13,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     DeclarationContradicted,
@@ -398,14 +399,28 @@ def _supports_closed_sums(p: GapProgram) -> bool:
 def _max_n_with_sum_below(p: GapProgram, offset: Scalar, strict: bool) -> int:
     """Largest n >= 0 with S(n) < offset (strict) or S(n) <= offset.
 
-    Partial sums S are strictly increasing; the caller must rule out the
-    convergent case where every n qualifies (total below the offset).
+    Partial sums S are strictly increasing from S(0) = 0, so an offset
+    <= 0 gives 0; the caller must rule out the convergent case where every
+    n qualifies (total at or below the offset).
+
+    ``const``, ``affine`` and ``recipdiff`` invert S in closed form: the
+    exact floor of the real n with S(n) = offset is the answer, less one
+    when ``strict`` and S hits the offset exactly, which one ``ok`` test
+    settles. Their cost does not grow with the size of the offset.
+    ``alt`` interleaves are searched by doubling and bisection. ``recip``
+    has no closed partial sums; its sides are walked and never reach this
+    function.
     """
 
     def ok(n: int) -> bool:
         s = program_partial(p, n)
         return s < offset if strict else s <= offset
 
+    if offset <= 0:
+        return 0
+    n = _inverse_partial_floor(p, offset)
+    if n is not None:
+        return n if ok(n) else n - 1
     if not ok(1):
         return 0
     hi = 2
@@ -421,6 +436,32 @@ def _max_n_with_sum_below(p: GapProgram, offset: Scalar, strict: bool) -> int:
         else:
             hi = mid
     return lo
+
+
+def _inverse_partial_floor(p: GapProgram, offset: Scalar) -> Optional[int]:
+    """The largest n >= 0 with S(n) <= offset, for offset > 0, or None when
+    the rule has no closed-form inverse."""
+    if isinstance(p, ConstantGaps):
+        return offset // p.value
+    if isinstance(p, AffineGaps):
+        if p.slope == 0:
+            return offset // p.offset
+        # 2*S(n) = slope*n^2 + (slope + 2*p.offset)*n; cleared of
+        # denominators, S(n) <= offset reads a n^2 + b n - c <= 0 with
+        # a, c > 0, that is 2an + b <= sqrt(b^2 + 4ac) for n >= 0. The left
+        # side is an integer, so isqrt decides it exactly.
+        a, b, c = p.slope, p.slope + 2 * p.offset, 2 * offset
+        scale = a.denominator * b.denominator * c.denominator
+        a, b, c = int(a * scale), int(b * scale), int(c * scale)
+        return (isqrt(b * b + 4 * a * c) - b) // (2 * a)
+    if isinstance(p, TelescopingGaps):
+        # S(n) = 1/(s+1) - 1/(n+s+1), so with R = 1/(s+1) - offset > 0,
+        # S(n) <= offset iff n <= 1/R - s - 1
+        rest = p.total - offset
+        if rest <= 0:
+            raise SpaceError(f"offset {format_scalar(offset)} reaches the limit of {p}")
+        return (ONE / rest - p.shift - 1).__floor__()
+    return None
 
 
 # --- minima / maxima of a program's gap stream ----------------------
@@ -969,10 +1010,6 @@ def hull(space: SubspaceDescription) -> Interval:
     return Interval(lo, hi)
 
 
-def component_hull(comp: Component) -> Interval:
-    return hull(SubspaceDescription(components=(comp,)))
-
-
 # ===================================================================
 # Membership
 # ===================================================================
@@ -1199,6 +1236,10 @@ def _materialize_fragments(comp: Component, window: Window, cap: int) -> list:
     raise SpaceError(f"not an interval component: {comp!r}")
 
 
+# A check, its map's samples and the classifier's probes ask for the same
+# window in turn. A few entries serve them; more would only pin large point
+# tuples in memory for the rest of the process.
+@lru_cache(maxsize=4)
 def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_CAP) -> Materialization:
     """Exactly the points and clipped interval fragments of A inside the window.
 

@@ -176,6 +176,24 @@ def test_oracle_cap_overflow_is_a_usage_error(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["0..x"], "integer ends"),
+        (["1/0"], "not an exact rational"),
+        (["a"], "not an exact rational"),
+        (["0..1000000000000000000"], "hard limit of 10"),
+        (["0..7", "--strong"], "hard limit of 7"),
+    ],
+)
+def test_oracle_bad_points_exit_two_with_one_line(args, needle, capsys):
+    code = main(["oracle", "--points", *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("plasti oracle: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_oracle_needs_exactly_one_source(files, capsys):
     assert main(["oracle"]) == 2
     capsys.readouterr()

@@ -1,9 +1,18 @@
-"""Every catalog entry must verify green end to end."""
+"""Every catalog entry must verify green end to end.
+
+``golden/gallery/<id>.json`` holds the output of
+``plasti gallery <id> --verify --json``; verdicts, witnesses and report
+text must stay byte-identical to it.
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
+from plasti.cli import main
 from plasti.errors import UnknownGalleryId
-from plasti.gallery import GALLERY_IDS, gallery_entry, verify_entry
+from plasti.gallery import GALLERY_IDS, gallery_entry
 from plasti.maps import MapDescription, eval_map, resolve
 from plasti.parser import parse_map, parse_space
 
@@ -27,11 +36,16 @@ def test_catalog_lists_the_expected_entries():
     assert set(GALLERY_IDS) == EXPECTED_IDS
 
 
+GOLDEN = Path(__file__).parent / "golden" / "gallery"
+
+
 @pytest.mark.parametrize("entry_id", sorted(EXPECTED_IDS))
-def test_entry_verifies(entry_id):
-    report = verify_entry(gallery_entry(entry_id))
-    details = "\n".join(r.render() for r in report.results if not r.passed)
-    assert report.passed, f"{entry_id} failed:\n{details}"
+def test_entry_verifies(entry_id, capsys):
+    code = main(["gallery", entry_id, "--verify", "--json"])
+    out = capsys.readouterr().out
+    failed = [r for r in json.loads(out)["expectations"] if not r["passed"]]
+    assert code == 0 and not failed, f"{entry_id} failed: {failed}"
+    assert out.encode() == (GOLDEN / f"{entry_id}.json").read_bytes()
 
 
 def test_unknown_id_raises():

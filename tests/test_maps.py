@@ -19,10 +19,12 @@ from plasti.errors import (
     NoPieceApplies,
     OutsideDomain,
 )
+from plasti import maps
 from plasti.maps import (
     AffinePiece,
     IndexShift,
     MapDescription,
+    Sample,
     Table,
     check_between_preservation,
     check_bijection,
@@ -41,6 +43,7 @@ from plasti.space import (
     FinitePoints,
     GapSequence,
     Interval,
+    IntervalList,
     PeriodicIntervals,
     SubspaceDescription,
     TelescopingGaps,
@@ -382,3 +385,97 @@ def test_reflection_about_midpoint_is_an_isometry(values):
     # it must be an isometry.
     if check_endomorphism(flip, space, window).passed:
         assert check_isometry(flip, space, window).passed
+
+
+# -------------------------------------------------------------------
+# Adjacent-pair sweeps against the all-pairs loops
+# -------------------------------------------------------------------
+
+_sample_x = st.integers(-4, 4).map(F) | st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _value_fn(draw):
+    """Values from x -> slope*x + c with |slope| <= 1 (often a unit), or
+    from x -> |x - pivot| + c, which keeps adjacent unit steps but turns
+    around; both checks pass often, and a few entries become noise."""
+    slope = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 3), F(0)]))
+    c = draw(st.integers(-3, 3))
+    pivot = draw(st.none() | st.integers(-3, 3))
+    noise = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3), max_size=2))
+
+    def value(x, i):
+        if noise and i % 3 == 0:
+            return noise[i % len(noise)]
+        return slope * x + c if pivot is None else abs(x - pivot) + c
+
+    return value
+
+
+@st.composite
+def _sample_sets(draw):
+    fn = draw(_value_fn())
+    xs = draw(st.lists(_sample_x, min_size=2, max_size=9))  # repeats allowed
+    members = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+    return tuple(Sample(x, fn(x, i), m) for i, (x, m) in enumerate(zip(xs, members)))
+
+
+@given(_sample_sets())
+def test_sweeps_decide_exactly_like_all_pairs(samples):
+    from itertools import combinations
+
+    all_nonexpansive = all(
+        abs(a.value - b.value) <= abs(a.x - b.x) for a, b in combinations(samples, 2)
+    )
+    all_isometric = all(
+        abs(a.value - b.value) == abs(a.x - b.x) for a, b in combinations(samples, 2)
+    )
+    assert maps._sweep_nonexpansive(samples) == all_nonexpansive
+    assert maps._sweep_isometry(samples) == all_isometric
+
+
+@st.composite
+def _mixed_spaces_and_maps(draw):
+    """Points plus intervals whose open ends meet points or each other, so
+    samples repeat an x and include non-member piece limits."""
+    fn = draw(_value_fn())
+    cuts = sorted(draw(st.lists(st.integers(-8, 8), min_size=2, max_size=5, unique=True)))
+    intervals = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if not draw(st.booleans()):
+            continue
+        shared = bool(intervals) and intervals[-1].hi.value == lo and intervals[-1].hi.closed
+        lo_closed = draw(st.booleans()) and not shared
+        intervals.append(Interval(Endpoint(F(lo), lo_closed), Endpoint(F(hi), draw(st.booleans()))))
+    candidates = draw(st.lists(_sample_x, min_size=1, max_size=5, unique=True))
+    pts = sorted(x for x in candidates if not any(ivl.contains(x) for ivl in intervals))
+    components = []
+    clauses = []
+    if pts:
+        components.append(FinitePoints(tuple(pts)))
+        clauses.append(Table(tuple((x, fn(x, i)) for i, x in enumerate(pts))))
+    if intervals:
+        components.append(IntervalList(tuple(intervals)))
+        slope = draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
+        for i, ivl in enumerate(intervals):
+            mid = (ivl.lo.value + ivl.hi.value) / 2
+            clauses.append(AffinePiece(ivl, slope, fn(mid, i + 1) - slope * mid))
+    if not components:
+        components.append(FinitePoints((F(0), F(1))))
+        clauses.append(Table(((F(0), F(0)), (F(1), F(1)))))
+    return SubspaceDescription(components=tuple(components)), MapDescription(clauses=tuple(clauses))
+
+
+@given(_mixed_spaces_and_maps())
+def test_sweep_reports_equal_the_all_pairs_reports(case):
+    from unittest import mock
+
+    space, desc = case
+    for check, sweep in (
+        (check_nonexpansive, "_sweep_nonexpansive"),
+        (check_isometry, "_sweep_isometry"),
+    ):
+        swept = check(desc, space, W)
+        with mock.patch.object(maps, sweep, lambda samples: False):
+            all_pairs = check(desc, space, W)
+        assert swept.render() == all_pairs.render()

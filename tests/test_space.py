@@ -44,6 +44,7 @@ from plasti.space import (
     materialize,
     negate,
     predecessor,
+    program_partial,
     successor,
     validate_metadata,
 )
@@ -414,3 +415,86 @@ def test_progression_gap_spectrum_is_the_step(anchor, step):
     )
     spec = gap_spectrum(space)
     assert [g for g, _ in spec.entries] == [step]
+
+
+# -------------------------------------------------------------------
+# Gap-index inversion: closed forms against the bisection they replaced
+# -------------------------------------------------------------------
+
+
+def _bisection_max_n(p, offset, strict):
+    """The doubling-and-bisection search, kept as the reference. It drops
+    the old 2**62 runaway guard so that it can reach offsets near 10**30."""
+
+    def ok(n):
+        s = program_partial(p, n)
+        return s < offset if strict else s <= offset
+
+    if not ok(1):
+        return 0
+    hi = 2
+    while ok(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+_positive = st.fractions(min_value=F(1, 97), max_value=F(40), max_denominator=97)
+_closed_programs = st.one_of(
+    st.builds(ConstantGaps, _positive),
+    st.builds(lambda b: AffineGaps(F(0), b), _positive),
+    # slope > 0 and an offset term of either sign with slope + offset > 0
+    st.builds(lambda a, t: AffineGaps(a, t - a), _positive, _positive),
+    st.builds(
+        TelescopingGaps,
+        st.fractions(min_value=F(-96, 97), max_value=F(30), max_denominator=97),
+    ),
+)
+
+
+@st.composite
+def _inversion_cases(draw):
+    p = draw(_closed_programs)
+    kind = draw(st.sampled_from(["nonpositive", "partial", "between", "huge"]))
+    if kind == "nonpositive":
+        offset = draw(st.fractions(max_value=F(0), max_denominator=97))
+    elif kind == "partial":
+        offset = program_partial(p, draw(st.integers(1, 10**6)))
+    elif isinstance(p, TelescopingGaps):  # offsets must stay below the limit
+        gap = draw(st.fractions(min_value=F(1, 10**30), max_value=F(1), max_denominator=10**31))
+        if kind == "huge":
+            gap = F(1, 10**30 + draw(st.integers(0, 10**6)))
+        offset = p.total - min(gap, p.total / 2)
+    elif kind == "between":
+        offset = draw(st.fractions(min_value=F(1, 10**6), max_value=F(10**6), max_denominator=10**6))
+    else:
+        offset = 10**30 + draw(st.fractions(min_value=F(-1), max_value=F(1), max_denominator=97))
+    return p, offset, draw(st.booleans())
+
+
+@given(_inversion_cases())
+def test_closed_form_inversion_matches_bisection(case):
+    import plasti.space as space_module
+
+    p, offset, strict = case
+    calls = []
+
+    def counting_partial(prog, n):
+        calls.append(n)
+        return program_partial(prog, n)
+
+    space_module.program_partial = counting_partial
+    try:
+        got = space_module._max_n_with_sum_below(p, offset, strict)
+    finally:
+        space_module.program_partial = program_partial
+    assert got == _bisection_max_n(p, offset, strict)
+    # one exact partial sum settles the closed form, however large the
+    # offset or the answer is
+    assert len(calls) <= 1
