@@ -31,7 +31,9 @@ from .maps import (
     lipschitz_upper,
 )
 from .oracle import (
+    BIJECTION_CAP,
     BIJECTION_HARD_CAP,
+    SELFMAP_CAP,
     SELFMAP_HARD_CAP,
     plastic_bruteforce,
     strongly_plastic_bruteforce,
@@ -182,15 +184,17 @@ def _parse_points(text: str, limit: int) -> tuple:
 
 def _cmd_oracle(args) -> int:
     if args.points:
-        hard = SELFMAP_HARD_CAP if args.strong else BIJECTION_HARD_CAP
-        points = _parse_points(args.points, hard)
+        # an explicit list is bounded by the oracle's hard cap alone
+        cap = SELFMAP_HARD_CAP if args.strong else BIJECTION_HARD_CAP
+        points = _parse_points(args.points, cap)
     else:
         from .space import materialize
 
         space = parse_space(_read(args.space))
         points = materialize(space, args.window, args.cap).points
+        cap = SELFMAP_CAP if args.strong else BIJECTION_CAP
     if args.strong:
-        verdict = strongly_plastic_bruteforce(points)
+        verdict = strongly_plastic_bruteforce(points, cap)
         payload = {
             "command": "oracle",
             "strong": True,
@@ -200,7 +204,7 @@ def _cmd_oracle(args) -> int:
             "strongly_plastic": verdict.strongly_plastic,
         }
     else:
-        verdict = plastic_bruteforce(points)
+        verdict = plastic_bruteforce(points, cap)
         payload = {
             "command": "oracle",
             "strong": False,

@@ -34,10 +34,6 @@ class DeclarationContradicted(SpaceError):
     """Declared metadata is refuted by materialized evidence."""
 
 
-class DegenerateSpace(SpaceError):
-    """Fewer than two sample points; ratio-based bounds are undefined."""
-
-
 class MapError(PlastiError):
     """Invalid map description or evaluation failure."""
 

@@ -8,8 +8,9 @@ errors, so map descriptions stay order-independent.
 Checks run on a window materialization. For affine pieces the pair checks
 are exact, not sampled: on a box of piece domains the expansion defect
 |f(p)-f(q)| - |p-q| is convex, so its maximum sits at endpoint pairs, and
-within a piece the slope bound decides. Isolated points are checked
-pairwise directly.
+within a piece the slope bound decides. Across samples, |x-z| = |x-y| +
+|y-z| for x < y < z lets one sweep over neighbours in sorted order decide
+every pair and every triple.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Optional, Union
 
 from .errors import (
@@ -47,7 +48,6 @@ from .space import (
 ALL_COMPONENTS = "*"
 
 MAX_PAIR_SAMPLES = 600
-MAX_TRIPLES = 20_000
 
 
 # ===================================================================
@@ -557,12 +557,17 @@ def _interval_inside_space(space: SubspaceDescription, interval: Interval) -> bo
     return False
 
 
-def _pair_defect(a: Sample, b: Sample) -> Scalar:
-    return abs(a.value - b.value) - abs(a.x - b.x)
+def _moves_apart(a: Sample, b: Sample) -> bool:
+    return abs(a.value - b.value) > abs(a.x - b.x)
 
 
-def _member_pair_witness(a: Sample, b: Sample, ws: WindowSamples, detail: str) -> Witness:
-    """Prefer witness pairs made of true members; nudge limit samples inward."""
+def _changes_distance(a: Sample, b: Sample) -> bool:
+    return abs(a.value - b.value) != abs(a.x - b.x)
+
+
+def _member_pair_witness(a: Sample, b: Sample, ws: WindowSamples, detail: str, broken) -> Witness:
+    """Prefer witness pairs made of true members; nudge limit samples inward
+    while the pair stays ``broken``."""
     if a.member and b.member:
         return Witness((a.x, b.x), (a.value, b.value), detail)
 
@@ -580,7 +585,7 @@ def _member_pair_witness(a: Sample, b: Sample, ws: WindowSamples, detail: str) -
 
     for k in (16, 64, 256, 1024):
         na, nb = inward(a, k), inward(b, k)
-        if na.x != nb.x and _pair_defect(na, nb) > 0:
+        if na.x != nb.x and broken(na, nb):
             return Witness((na.x, nb.x), (na.value, nb.value), detail)
     return Witness((a.x, b.x), (a.value, b.value), detail + " (limit points)")
 
@@ -618,12 +623,12 @@ def check_nonexpansive(
     if not _sweep_nonexpansive(ws.all_samples):
         # the sweep decides; the pair loop finds the first witness in pair order
         for a, b in combinations(ws.all_samples, 2):
-            if _pair_defect(a, b) > 0:
+            if _moves_apart(a, b):
                 return CheckReport(
                     "nonexpansive",
                     False,
                     scope,
-                    _member_pair_witness(a, b, ws, "pair moves apart"),
+                    _member_pair_witness(a, b, ws, "pair moves apart", _moves_apart),
                     tuple(notes),
                 )
     return CheckReport("nonexpansive", True, scope, None, tuple(notes))
@@ -641,7 +646,7 @@ def _sweep_nonexpansive(samples: tuple) -> bool:
     inequality a pair moves apart only if some pair adjacent in x order
     does: the adjacent pairs decide all pairs exactly.
     """
-    return all(_pair_defect(a, b) <= 0 for a, b in _adjacent_pairs(samples))
+    return not any(_moves_apart(a, b) for a, b in _adjacent_pairs(samples))
 
 
 def _sweep_isometry(samples: tuple) -> bool:
@@ -664,22 +669,41 @@ def _sweep_isometry(samples: tuple) -> bool:
     return True
 
 
+def _sweep_lipschitz(samples: tuple) -> Fraction:
+    """The largest ratio |a.value - b.value| / |a.x - b.x| over sample
+    pairs with a.x != b.x, or 0 when there is none.
+
+    For x < y < z on the line |x-z| = |x-y| + |y-z|, so a ratio across y
+    never exceeds the larger of the two ratios through y: comparing the
+    smallest and largest value at each x with those at the next distinct x
+    decides all pairs exactly.
+    """
+    ranges: dict = {}  # x -> (smallest value, largest value) at x
+    for s in samples:
+        lo, hi = ranges.get(s.x, (s.value, s.value))
+        ranges[s.x] = (min(lo, s.value), max(hi, s.value))
+    xs = sorted(ranges)
+    best = Fraction(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        (lo0, hi0), (lo1, hi1) = ranges[x0], ranges[x1]
+        best = max(best, max(hi1 - lo0, hi0 - lo1) / (x1 - x0))
+    return best
+
+
 def lipschitz_upper(
     desc: MapDescription,
     space: SubspaceDescription,
     window: Window = DEFAULT_WINDOW,
     cap: int = DEFAULT_CAP,
 ) -> tuple:
-    """(bound, notes): the exact largest expansion ratio over the window."""
+    """(bound, notes): the exact largest expansion ratio over the window,
+    the larger of the span slopes and the sample ratios."""
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     best = Fraction(0)
     for span in ws.spans:
         best = max(best, abs(span.piece.slope))
-    for a, b in combinations(ws.all_samples, 2):
-        if a.x != b.x:
-            best = max(best, abs(a.value - b.value) / abs(a.x - b.x))
-    return best, tuple(_base_notes(ws))
+    return max(best, _sweep_lipschitz(ws.all_samples)), tuple(_base_notes(ws))
 
 
 def check_bijection(
@@ -860,38 +884,15 @@ def check_isometry(
     if not _sweep_isometry(ws.all_samples):
         # the sweep decides; the pair loop finds the first witness in pair order
         for a, b in combinations(ws.all_samples, 2):
-            if abs(a.value - b.value) != abs(a.x - b.x):
+            if _changes_distance(a, b):
                 return CheckReport(
                     "isometry",
                     False,
                     scope,
-                    _member_iso_witness(a, b, ws),
+                    _member_pair_witness(a, b, ws, "pair changes distance", _changes_distance),
                     tuple(notes),
                 )
     return CheckReport("isometry", True, scope, None, tuple(notes))
-
-
-def _member_iso_witness(a: Sample, b: Sample, ws: WindowSamples) -> Witness:
-    if a.member and b.member:
-        return Witness((a.x, b.x), (a.value, b.value), "pair changes distance")
-
-    def inward(s: Sample, k: int) -> Sample:
-        if s.member:
-            return s
-        for span in ws.spans:
-            if span.lo == s.x:
-                x = s.x + span.width / k
-                return Sample(x, span.piece.apply(x), True)
-            if span.hi == s.x:
-                x = s.x - span.width / k
-                return Sample(x, span.piece.apply(x), True)
-        return s
-
-    for k in (16, 64, 256, 1024):
-        na, nb = inward(a, k), inward(b, k)
-        if na.x != nb.x and abs(na.value - nb.value) != abs(na.x - nb.x):
-            return Witness((na.x, nb.x), (na.value, nb.value), "pair changes distance")
-    return Witness((a.x, b.x), (a.value, b.value), "pair changes distance (limit points)")
 
 
 def check_between_preservation(
@@ -901,8 +902,9 @@ def check_between_preservation(
     cap: int = DEFAULT_CAP,
 ) -> CheckReport:
     """Whenever z lies between x and y, the image of z lies between the
-    images of x and y. Triples come from window members (interior probes
-    included) and are capped deterministically."""
+    images of x and y. Probes are the window's member samples plus two
+    interior points of each span; every probe triple is decided, by one
+    sweep over the probes in sorted order."""
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     notes = _base_notes(ws)
@@ -913,18 +915,42 @@ def check_between_preservation(
         probes.add((q, span.piece.apply(q)))
         probes.add((m, span.piece.apply(m)))
     members = sorted(probes)
-    total = 0
-    for (xa, va), (xb, vb), (xc, vc) in islice(combinations(members, 3), MAX_TRIPLES):
-        total += 1
-        # xa < xb < xc by sort order, so xb lies between the outer two
-        if not (min(va, vc) <= vb <= max(va, vc)):
-            return CheckReport(
-                "between",
-                False,
-                scope,
-                Witness((xa, xb, xc), (va, vb, vc), "middle point leaves the image segment"),
-                tuple(notes),
-            )
-    if total == MAX_TRIPLES:
-        notes.append(f"triple check capped at {MAX_TRIPLES} combinations")
+    bad = _first_between_violation([v for _, v in members])
+    if bad is not None:
+        (xa, va), (xb, vb), (xc, vc) = (members[i] for i in bad)
+        return CheckReport(
+            "between",
+            False,
+            scope,
+            Witness((xa, xb, xc), (va, vb, vc), "middle point leaves the image segment"),
+            tuple(notes),
+        )
     return CheckReport("between", True, scope, None, tuple(notes))
+
+
+def _first_between_violation(values: list) -> Optional[tuple]:
+    """The lexicographically first (i, j, k), i < j < k, whose middle value
+    lies outside [min(v_i, v_k), max(v_i, v_k)], or None.
+
+    There is none exactly when the values are weakly monotone, and if there
+    is one, one starts at i = 0. Were there none starting at 0, let v_j be
+    the first value that differs from v_0, say v_j > v_0: every later value
+    is at least v_j, so also above v_0, so at least its predecessors, and
+    the values would never decrease. Suffix minima and maxima then give the
+    first j, and a scan after it the first k.
+    """
+    n = len(values)
+    if n < 3:
+        return None
+    lows, highs = list(values), list(values)  # minima and maxima of values[i:], i >= 2
+    for i in range(n - 2, 1, -1):
+        lows[i] = min(lows[i], lows[i + 1])
+        highs[i] = max(highs[i], highs[i + 1])
+    first = values[0]
+    for j in range(1, n - 1):
+        v = values[j]
+        if v > first and lows[j + 1] < v:
+            return 0, j, next(k for k in range(j + 1, n) if values[k] < v)
+        if v < first and highs[j + 1] > v:
+            return 0, j, next(k for k in range(j + 1, n) if values[k] > v)
+    return None

@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, floor, isqrt
 from typing import Optional, Union
 
 from .errors import (
@@ -575,8 +575,9 @@ def program_max(p: GapProgram) -> Optional[tuple]:
 # Atomic rules are monotone by type. Interleaves are decided exactly by
 # polynomial sign checks: every atom's gap is a rational function of the
 # cycle index with positive denominator, so "g(n) <= g(n+1) for all n"
-# reduces to integer-coefficient polynomials being nonnegative on all
-# integers m >= 1, decided by scanning up to the Cauchy root bound.
+# reduces to polynomials being nonnegative on all integers m >= 1, decided
+# by isolating their real roots with a Sturm sequence (Sturm's theorem, see
+# Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry).
 
 
 def _atom_rational(p) -> tuple:
@@ -620,35 +621,83 @@ def _poly_sub(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _poly_eval(coeffs: tuple, m: int) -> Fraction:
+def _poly_eval(coeffs, m: Scalar) -> Fraction:
     acc = ZERO
     for c in reversed(coeffs):
         acc = acc * m + c
     return acc
 
 
+def _poly_trim(coeffs) -> list:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_divmod(a: list, b: list) -> tuple:
+    """(quotient, remainder) of trimmed a by trimmed nonzero b."""
+    rem = list(a)
+    quot = [ZERO] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        c = rem[-1] / b[-1]
+        quot[k] = c
+        for i, bc in enumerate(b):
+            rem[i + k] -= c * bc
+        rem = _poly_trim(rem[:-1])  # the leading term cancelled
+    return quot, rem
+
+
+def _sturm_chain(p: list) -> list:
+    """P, P', then negated remainders; the last entry is gcd(P, P')."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    return chain[:-1]
+
+
+def _sign_changes(chain: list, x: Fraction) -> int:
+    signs = [v > 0 for v in (_poly_eval(c, x) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _poly_nonneg_all(coeffs: tuple) -> tuple:
-    """(nonneg for all integers m >= 1, strictly positive somewhere)."""
-    trimmed = list(coeffs)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    if not trimmed:
+    """(nonneg for all integers m >= 1, strictly positive somewhere).
+
+    ``strict`` is exact whenever the first answer is True; callers read it
+    only then. If P(m) < 0 at an integer m >= 1, then either P has no root
+    in [1, m) and P(1) < 0, or the largest such root r is followed by the
+    integer floor(r) + 1 <= m, where P has the sign it has at m. So it
+    suffices to evaluate P at 1 and just after each real root, and the
+    roots lie in intervals narrower than 1 that bisection of (0, Cauchy
+    bound] finds, counting roots with the Sturm sequence. The cost grows
+    with the number of digits of the coefficients, not with their size.
+    """
+    p = _poly_trim(coeffs)
+    if not p:
         return True, False
-    lead = trimmed[-1]
-    bound = 1 + max(abs(c / lead) for c in trimmed)
-    limit = max(1, int(bound) + 1)
-    strict = False
-    for m in range(1, limit + 1):
-        v = _poly_eval(tuple(trimmed), m)
-        if v < 0:
-            return False, strict
-        if v > 0:
-            strict = True
-    if lead < 0:
-        return False, strict  # eventually negative beyond all roots
-    if lead > 0:
-        strict = True
-    return True, strict
+    if p[-1] < 0:
+        return False, False  # eventually negative beyond all roots
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:  # repeated roots: count those of the square-free part
+        chain = _sturm_chain(_poly_divmod(p, chain[-1])[0])
+    # Sturm: the number of distinct roots in (lo, hi] is V(lo) - V(hi)
+    bound = 1 + max((abs(c / p[-1]) for c in p[:-1]), default=ZERO)
+    candidates = {1}
+    todo = [(ZERO, _sign_changes(chain, ZERO), bound, _sign_changes(chain, bound))]
+    while todo:
+        lo, v_lo, hi, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo < 1:
+            candidates.update(range(floor(lo) + 1, floor(hi) + 2))
+            continue
+        mid = (lo + hi) / 2
+        v_mid = _sign_changes(chain, mid)
+        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    # with a positive leading coefficient P is positive for large m
+    return all(_poly_eval(p, m) >= 0 for m in candidates), True
 
 
 def _forall_le(f, fs: int, g, gs: int) -> tuple:

@@ -25,6 +25,7 @@ from plasti.space import (
     AlternatingGaps,
     ArithmeticProgression,
     BoundDecl,
+    ConstantGaps,
     Endpoint,
     FinitePoints,
     GapSequence,
@@ -122,6 +123,24 @@ def test_rule_rare_extremal_gap_pins_endpoints():
     assert (verdict.outcome, verdict.rule) == (PLASTIC, "R3")
     assert verdict.rigidity == "identity-or-reflection"
     assert len(verdict.trace) >= 4
+
+
+def test_rare_extremal_gap_cost_does_not_grow_with_the_coefficients():
+    # Deciding the alternating gap stream's monotonicity once scanned every
+    # integer up to the coefficients' size.
+    import time
+
+    def alternating(c):
+        program = AlternatingGaps((AffineGaps(F(1), F(0)), ConstantGaps(F(c))))
+        return SubspaceDescription(components=(GapSequence(F(0), left=program, right=program),))
+
+    small = classify_checked(alternating(10**3))
+    assert (small.outcome, small.rule) == (PLASTIC, "R3")
+    for c in (10**6, 10**9):
+        start = time.perf_counter()
+        verdict = classify_checked(alternating(c))
+        assert time.perf_counter() - start < 1
+        assert (verdict.outcome, verdict.rule) == (small.outcome, small.rule)
 
 
 def test_rule_half_line_not_plastic():

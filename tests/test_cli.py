@@ -170,10 +170,18 @@ def test_oracle_strong_mode(capsys):
 
 
 def test_oracle_cap_overflow_is_a_usage_error(capsys):
-    code = main(["oracle", "--points", "0..9"])
+    code = main(["oracle", "--points", ",".join(str(k) for k in range(11))])
     err = capsys.readouterr().err
     assert code == 2
     assert "cap" in err
+
+
+def test_oracle_points_reach_the_hard_cap(capsys):
+    code = main(["oracle", "--points", "0..6", "--strong", "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["points"]) == 7
+    assert payload["strongly_plastic"] is True
 
 
 @pytest.mark.parametrize(

@@ -326,6 +326,24 @@ def test_betweenness_violation_at_named_triple():
     assert check_between_preservation(IDENTITY, space, Window(F(-20), F(20))).passed
 
 
+def test_betweenness_decides_every_triple_of_a_wide_window():
+    # Swapping 250 and 251 on the nonnegative integers breaks betweenness
+    # only in triples past the first 20,000 in lexicographic order.
+    naturals = SubspaceDescription(components=(ArithmeticProgression(F(0), F(1), "right"),))
+    swap = MapDescription(
+        clauses=(
+            Table(((F(250), F(251)), (F(251), F(250)))),
+            affine(Interval(Endpoint(F(-1), False), Endpoint(F(250), False)), 1, 0),
+            affine(Interval(Endpoint(F(251), False), Endpoint(F(10_000), False)), 1, 0),
+        )
+    )
+    report = check_between_preservation(swap, naturals, Window(F(0), F(299)))
+    assert not report.passed
+    assert report.witness.points == (F(0), F(250), F(251))
+    assert report.witness.images == (F(0), F(251), F(250))
+    assert report.notes == ()
+
+
 # -------------------------------------------------------------------
 # Lipschitz bound
 # -------------------------------------------------------------------
@@ -420,6 +438,53 @@ def _sample_sets(draw):
     return tuple(Sample(x, fn(x, i), m) for i, (x, m) in enumerate(zip(xs, members)))
 
 
+def _all_pairs_max_ratio(samples: tuple) -> F:
+    from itertools import combinations
+
+    best = F(0)
+    for a, b in combinations(samples, 2):
+        if a.x != b.x:
+            best = max(best, abs(a.value - b.value) / abs(a.x - b.x))
+    return best
+
+
+def _first_violation_by_triples(values: list):
+    from itertools import combinations
+
+    for i, j, k in combinations(range(len(values)), 3):
+        if not min(values[i], values[k]) <= values[j] <= max(values[i], values[k]):
+            return i, j, k
+    return None
+
+
+@given(_sample_sets())
+def test_lipschitz_sweep_equals_the_all_pairs_maximum(samples):
+    assert maps._sweep_lipschitz(samples) == _all_pairs_max_ratio(samples)
+
+
+@st.composite
+def _probe_values(draw):
+    """Image values of probes sorted as the check sorts them: equal x and
+    tied values occur, the values are often weakly monotone, and up to two
+    entries may break that."""
+    xs = sorted(draw(st.lists(st.integers(-3, 3), max_size=9)))
+    values = sorted(draw(st.lists(st.integers(-2, 2), min_size=len(xs), max_size=len(xs))))
+    if draw(st.booleans()):
+        values.reverse()
+    for i in draw(st.lists(st.integers(0, 8), max_size=2)):
+        if i < len(values):
+            values[i] = draw(st.integers(-3, 3))
+    return [v for _, v in sorted({(F(x), F(v)) for x, v in zip(xs, values)})]
+
+
+@given(_probe_values())
+def test_between_sweep_finds_the_first_violating_triple(values):
+    bad = maps._first_between_violation(values)
+    assert bad == _first_violation_by_triples(values)
+    monotone = values in (sorted(values), sorted(values, reverse=True))
+    assert (bad is None) == monotone
+
+
 @given(_sample_sets())
 def test_sweeps_decide_exactly_like_all_pairs(samples):
     from itertools import combinations
@@ -479,3 +544,10 @@ def test_sweep_reports_equal_the_all_pairs_reports(case):
         with mock.patch.object(maps, sweep, lambda samples: False):
             all_pairs = check(desc, space, W)
         assert swept.render() == all_pairs.render()
+    swept = check_between_preservation(desc, space, W)
+    with mock.patch.object(maps, "_first_between_violation", _first_violation_by_triples):
+        all_triples = check_between_preservation(desc, space, W)
+    assert swept.render() == all_triples.render()
+    swept = lipschitz_upper(desc, space, W)
+    with mock.patch.object(maps, "_sweep_lipschitz", _all_pairs_max_ratio):
+        assert lipschitz_upper(desc, space, W) == swept

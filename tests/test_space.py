@@ -9,7 +9,7 @@ from the implementation.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plasti.errors import (
     DeclarationContradicted,
@@ -498,3 +498,64 @@ def test_closed_form_inversion_matches_bisection(case):
     # one exact partial sum settles the closed form, however large the
     # offset or the answer is
     assert len(calls) <= 1
+
+
+# -------------------------------------------------------------------
+# Gap-monotonicity sign test against an integer scan
+# -------------------------------------------------------------------
+
+
+def _poly_nonneg_by_scan(coeffs: tuple) -> tuple:
+    """Every integer up to past the Cauchy root bound, then the leading sign."""
+    from plasti.space import _poly_eval
+
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    if not trimmed:
+        return True, False
+    lead = trimmed[-1]
+    bound = 1 + max(abs(c / lead) for c in trimmed)
+    strict = False
+    for m in range(1, int(bound) + 2):
+        v = _poly_eval(tuple(trimmed), m)
+        if v < 0:
+            return False, strict
+        strict = strict or v > 0
+    return lead > 0, strict or lead > 0
+
+
+_root = st.integers(-20, 60).map(F) | st.fractions(min_value=-20, max_value=60, max_denominator=4)
+
+
+@st.composite
+def _cubic_or_lower(draw):
+    """Degree <= 3: coefficients up to 10**3 in size, or a product of
+    rational roots, repeated roots included, so that double roots touch
+    integers and negative stretches sit between integers."""
+    from plasti.space import _poly_mul
+
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(-1000, 1000).map(F), min_size=1, max_size=4)))
+    lead = draw(st.sampled_from([F(1), F(-1), F(3, 2), F(-7)]))
+    roots = draw(st.lists(_root, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        roots = roots[:1] * 2 + roots[2:]  # a double root
+    poly = (lead,)
+    for r in roots:
+        poly = _poly_mul(poly, (-r, F(1)))
+    return poly + (F(0),) * draw(st.integers(0, 1))  # a zero lead coefficient
+
+
+@given(_cubic_or_lower())
+@example((F(3), F(-4), F(1)))  # (m-1)(m-3): a root at 1, negative at 2
+@example((F(651, 4), F(-26), F(1)))  # (m-21/2)(m-31/2): negative between roots
+@example((F(-36), F(48), F(-13), F(1)))  # (m-1)(m-6)**2: zero at 1 and 6, else positive
+def test_root_isolation_signs_agree_with_the_integer_scan(coeffs):
+    from plasti.space import _poly_nonneg_all
+
+    ok, strict = _poly_nonneg_all(coeffs)
+    want_ok, want_strict = _poly_nonneg_by_scan(coeffs)
+    assert ok == want_ok
+    if ok:  # callers read strict only for nonnegative polynomials
+        assert strict == want_strict
