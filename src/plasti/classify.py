@@ -20,6 +20,7 @@ from .maps import (
     AffinePiece,
     IndexShift,
     MapDescription,
+    affine_image,
     check_bijection,
     check_endomorphism,
     check_isometry,
@@ -46,7 +47,6 @@ from .space import (
     gap_spectrum,
     is_bounded,
     materialize,
-    program_monotone,
     sequence_view,
     validate_metadata,
 )
@@ -117,7 +117,7 @@ def _full_monotonicity(view: SequenceView) -> dict:
     boundaries_lo = []  # last gap before the middle (left tail side)
     middle = view.middle_gaps
     if view.left is not None:
-        lm = program_monotone(view.left)
+        lm = view.left.monotone()
         nondec &= lm["nonincreasing"]
         noninc &= lm["nondecreasing"]
         strict |= lm["strict"]
@@ -139,7 +139,7 @@ def _full_monotonicity(view: SequenceView) -> dict:
         noninc &= seq[-1] >= first_right
         strict |= seq[-1] != first_right
     if view.right is not None:
-        rm = program_monotone(view.right)
+        rm = view.right.monotone()
         nondec &= rm["nondecreasing"]
         noninc &= rm["nonincreasing"]
         strict |= rm["strict"]
@@ -177,8 +177,6 @@ def _half_contraction(anchor: Scalar, half: Interval, rest: Interval) -> MapDesc
 
 
 def _send(ivl: Interval, slope: Scalar, icpt: Scalar) -> Interval:
-    from .maps import affine_image
-
     return affine_image(AffinePiece(ivl, slope, icpt))
 
 
@@ -323,7 +321,7 @@ def _rule_rare_extremal_gap(space, ctx) -> Optional[_Match]:
     if chosen is None:
         return None
     (value, mult), kind = chosen
-    pairs = _extremal_pairs(view, value, mult if isinstance(mult, int) else 0)
+    pairs = _extremal_pairs(view, value)
     pair_text = "; ".join(f"({format_scalar(a)}, {format_scalar(b)})" for a, b in pairs)
     return _Match(
         PLASTIC,
@@ -336,9 +334,7 @@ def _rule_rare_extremal_gap(space, ctx) -> Optional[_Match]:
     )
 
 
-def _extremal_pairs(view: SequenceView, value: Scalar, mult: int) -> tuple:
-    from .space import program_partial
-
+def _extremal_pairs(view: SequenceView, value: Scalar) -> tuple:
     pairs = []
     pts = view.points
     for a, b in zip(pts, pts[1:]):
@@ -347,85 +343,19 @@ def _extremal_pairs(view: SequenceView, value: Scalar, mult: int) -> tuple:
     for program, base, sign in ((view.left, pts[0], -1), (view.right, pts[-1], +1)):
         if program is None:
             continue
-        for n in _gap_indices(program, value):
-            lo_sum = program_partial(program, n - 1)
-            hi_sum = program_partial(program, n)
-            if lo_sum is None or hi_sum is None:
-                lo_sum = sum((program.gap(i) for i in range(1, n)), Fraction(0)) if n <= 1000 else None
-                hi_sum = lo_sum + program.gap(n) if lo_sum is not None else None
-            if lo_sum is None:
+        for n in program.indices_of(value):
+            hi_sum = program.partial(n)
+            if hi_sum is None and n <= 1000:  # no closed form: walk the side
+                hi_sum = sum((program.gap(i) for i in range(1, n + 1)), Fraction(0))
+            if hi_sum is None:
                 continue
+            lo_sum = hi_sum - value
             if sign > 0:
                 pairs.append((base + lo_sum, base + hi_sum))
             else:
                 pairs.append((base - hi_sum, base - lo_sum))
     pairs.sort()
     return tuple(pairs)
-
-
-def _gap_indices(program, value: Scalar) -> tuple:
-    """Indices n with gap(n) == value, for rules with finitely many hits."""
-    from .space import (
-        AffineGaps,
-        AlternatingGaps,
-        ConstantGaps,
-        ExplicitGaps,
-        ReciprocalGaps,
-        TelescopingGaps,
-    )
-
-    def atom_index(p):
-        if isinstance(p, ConstantGaps):
-            return None
-        if isinstance(p, AffineGaps):
-            if p.slope == 0:
-                return None
-            n = (value - p.offset) / p.slope
-            return int(n) if n.denominator == 1 and n >= 1 else None
-        if isinstance(p, ReciprocalGaps):
-            if value <= 0:
-                return None
-            n = Fraction(1) / value - p.shift
-            return int(n) if n.denominator == 1 and n >= 1 else None
-        if isinstance(p, TelescopingGaps):
-            if value <= 0:
-                return None
-            target = Fraction(1) / value
-            if target.denominator != 1:
-                return None
-            from math import isqrt
-
-            t = target.numerator
-            k = (isqrt(4 * t + 1) - 1) // 2
-            for cand in (k, k + 1):
-                if cand * (cand + 1) == t:
-                    n = Fraction(cand) - p.shift
-                    if n.denominator == 1 and n >= 1:
-                        return int(n)
-            return None
-        return None
-
-    if isinstance(program, ExplicitGaps):
-        return tuple(i + 1 for i, g in enumerate(program.values) if g == value)
-    if isinstance(program, AlternatingGaps):
-        k = len(program.atoms)
-        out = []
-        for j, atom in enumerate(program.atoms):
-            n = atom_index(atom)
-            if n is not None:
-                out.append((n - 1) * k + j + 1)
-        return tuple(sorted(out))
-    n = atom_index(program)
-    return (n,) if n is not None else ()
-
-
-def _rule_growing_unions(space, ctx) -> Optional[_Match]:
-    # A union of intervals whose lengths grow without bound admits the same
-    # index-shift trick as growing gaps. No catalog component can express
-    # one (periodic families repeat a fixed length, explicit lists are
-    # finite), so this rung never matches a representable space; it stays
-    # in the ladder to keep the decision order visible.
-    return None
 
 
 def _rule_half_line(space, ctx) -> Optional[_Match]:
@@ -514,12 +444,13 @@ def _rule_equal_gaps(space, ctx) -> Optional[_Match]:
     )
 
 
+# R4 (growing interval unions) matched no representable space and is gone;
+# the other ids keep their numbers for JSON consumers.
 _RULES = (
     ("R0", "bounded space", _rule_bounded),
     ("R1", "monotone growing gaps", _rule_monotone_gaps),
     ("R2", "one-sided unbounded, no accumulation", _rule_one_sided),
     ("R3", "rare extremal gap", _rule_rare_extremal_gap),
-    ("R4", "growing interval unions", _rule_growing_unions),
     ("R5", "half-line present", _rule_half_line),
     ("R6", "periodic interval unions", _rule_periodic),
     ("R7", "all gaps equal", _rule_equal_gaps),

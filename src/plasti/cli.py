@@ -41,7 +41,7 @@ from .oracle import (
 from .parser import parse_map, parse_matrix, parse_space, render_map
 from .plot import build_plot, render_svg
 from .scalar import format_scalar, parse_scalar
-from .space import DEFAULT_CAP, Window
+from .space import DEFAULT_CAP, Window, materialize
 
 PASS, FAIL, ERROR = 0, 1, 2
 
@@ -188,8 +188,6 @@ def _cmd_oracle(args) -> int:
         cap = SELFMAP_HARD_CAP if args.strong else BIJECTION_HARD_CAP
         points = _parse_points(args.points, cap)
     else:
-        from .space import materialize
-
         space = parse_space(_read(args.space))
         points = materialize(space, args.window, args.cap).points
         cap = SELFMAP_CAP if args.strong else BIJECTION_CAP

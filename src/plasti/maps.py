@@ -40,6 +40,8 @@ from .space import (
     Window,
     component_contains,
     contains,
+    intervals_near,
+    is_bounded,
     materialize,
     predecessor,
     successor,
@@ -279,12 +281,14 @@ class Sample:
     ``member`` samples are space members carrying their true image.
     Non-member samples extend an affine piece to an endpoint the space
     does not contain (open or window-clipped); they carry the one-sided
-    limit value, which is what exact pair bounds need.
+    limit value, which is what exact pair bounds need, and the ``span``
+    whose end they stand for.
     """
 
     x: Scalar
     value: Scalar
     member: bool
+    span: Optional[PieceSpan] = None
 
 
 @dataclass(frozen=True)
@@ -315,10 +319,6 @@ class WindowSamples:
     @property
     def all_samples(self) -> tuple:
         return self.point_samples + self.limit_samples
-
-    @property
-    def member_samples(self) -> tuple:
-        return self.point_samples
 
 
 def _clip(value, lo: Scalar, hi: Scalar) -> Scalar:
@@ -403,7 +403,7 @@ def _collect_samples(
                 member_xs.add(x)  # fragments are subsets of the space
             for s in frag_spans:
                 if x in (s.lo, s.hi):
-                    limit_samples.append(Sample(x, s.piece.apply(x), False))
+                    limit_samples.append(Sample(x, s.piece.apply(x), False, s))
         spans.extend(frag_spans)
 
     # materialized points, table keys that passed `contains` and fragment
@@ -535,26 +535,11 @@ def check_endomorphism(
 
 def _interval_inside_space(space: SubspaceDescription, interval: Interval) -> bool:
     """Exact test: does some single interval component contain the open stretch?"""
-    from .space import LEFT, RIGHT, HalfLine, IntervalList, PeriodicIntervals
-
-    for comp in space.components:
-        if isinstance(comp, IntervalList):
-            if any(ivl.contains_interval(interval) for ivl in comp.intervals):
-                return True
-        elif isinstance(comp, HalfLine):
-            if comp.as_interval().contains_interval(interval):
-                return True
-        elif isinstance(comp, PeriodicIntervals):
-            k_frac = (interval.lo.value - comp.anchor) / comp.period
-            k = k_frac.numerator // k_frac.denominator
-            for kk in (k - 1, k, k + 1):
-                if comp.direction == RIGHT and kk < 0:
-                    continue
-                if comp.direction == LEFT and kk > 0:
-                    continue
-                if comp.interval_at(kk).contains_interval(interval):
-                    return True
-    return False
+    return any(
+        ivl.contains_interval(interval)
+        for comp in space.components
+        for ivl in intervals_near(comp, interval.lo.value)
+    )
 
 
 def _moves_apart(a: Sample, b: Sample) -> bool:
@@ -565,29 +550,28 @@ def _changes_distance(a: Sample, b: Sample) -> bool:
     return abs(a.value - b.value) != abs(a.x - b.x)
 
 
-def _member_pair_witness(a: Sample, b: Sample, ws: WindowSamples, detail: str, broken) -> Witness:
-    """Prefer witness pairs made of true members; nudge limit samples inward
-    while the pair stays ``broken``."""
-    if a.member and b.member:
-        return Witness((a.x, b.x), (a.value, b.value), detail)
-
-    def inward(s: Sample, k: int) -> Sample:
-        if s.member:
-            return s
-        for span in ws.spans:
-            if span.lo == s.x:
-                x = s.x + span.width / k
-                return Sample(x, span.piece.apply(x), True)
-            if span.hi == s.x:
-                x = s.x - span.width / k
-                return Sample(x, span.piece.apply(x), True)
+def _inward(s: Sample, k: int) -> Sample:
+    """A limit sample moved 1/k of its span's width into the span, where
+    the members are; a member sample as it is."""
+    if s.member:
         return s
+    span = s.span
+    x = s.x + span.width / k if s.x == span.lo else s.x - span.width / k
+    return Sample(x, span.piece.apply(x), True)
 
-    for k in (16, 64, 256, 1024):
-        na, nb = inward(a, k), inward(b, k)
-        if na.x != nb.x and broken(na, nb):
-            return Witness((na.x, nb.x), (na.value, nb.value), detail)
-    return Witness((a.x, b.x), (a.value, b.value), detail + " (limit points)")
+
+def _member_witness(samples: tuple, detail: str, broken) -> Witness:
+    """A witness made of true members where one is near: limit samples are
+    nudged into their own spans while the samples stay ``broken``."""
+    if not all(s.member for s in samples):
+        for k in (16, 64, 256, 1024):
+            nudged = tuple(_inward(s, k) for s in samples)
+            if len({s.x for s in nudged}) == len(nudged) and broken(*nudged):
+                samples = nudged
+                break
+        else:
+            detail += " (limit points)"
+    return Witness(tuple(s.x for s in samples), tuple(s.value for s in samples), detail)
 
 
 def check_nonexpansive(
@@ -628,7 +612,7 @@ def check_nonexpansive(
                     "nonexpansive",
                     False,
                     scope,
-                    _member_pair_witness(a, b, ws, "pair moves apart", _moves_apart),
+                    _member_witness((a, b), "pair moves apart", _moves_apart),
                     tuple(notes),
                 )
     return CheckReport("nonexpansive", True, scope, None, tuple(notes))
@@ -734,7 +718,7 @@ def check_bijection(
                 tuple(notes),
             )
     seen: dict = {}
-    for s in ws.member_samples:
+    for s in ws.point_samples:
         if s.value in seen and seen[s.value] != s.x:
             return CheckReport(
                 "bijection",
@@ -757,7 +741,7 @@ def check_bijection(
                     Witness((xa, xb), (y, y), "two pieces share an image value"),
                     tuple(notes),
                 )
-    for s in ws.member_samples:
+    for s in ws.point_samples:
         for span in ws.spans:
             va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
             if min(va, vb) < s.value < max(va, vb):
@@ -776,7 +760,7 @@ def check_bijection(
         # forward side sampled no members (pure interval spaces): a member
         # no inverse clause claims is a member the image misses.
         inv_ws = collect_samples(inv, space, window, cap)
-        for s in ws.member_samples:
+        for s in ws.point_samples:
             if not contains(space, s.value, cap):
                 return CheckReport(
                     "bijection",
@@ -794,7 +778,7 @@ def check_bijection(
                     Witness((s.x,), (s.value,), "declared inverse does not undo the map"),
                     tuple(notes),
                 )
-        for s in inv_ws.member_samples:
+        for s in inv_ws.point_samples:
             if not contains(space, s.value, cap):
                 return CheckReport(
                     "bijection",
@@ -843,8 +827,6 @@ def _image_overlap(a: PieceSpan, b: PieceSpan) -> Optional[Scalar]:
 
 
 def _fully_finite(space: SubspaceDescription, ws: WindowSamples) -> bool:
-    from .space import is_bounded
-
     if ws.materialization.truncated or ws.subsampled or ws.materialization.fragments:
         return False
     b = is_bounded(space)
@@ -889,7 +871,7 @@ def check_isometry(
                     "isometry",
                     False,
                     scope,
-                    _member_pair_witness(a, b, ws, "pair changes distance", _changes_distance),
+                    _member_witness((a, b), "pair changes distance", _changes_distance),
                     tuple(notes),
                 )
     return CheckReport("isometry", True, scope, None, tuple(notes))
@@ -902,30 +884,37 @@ def check_between_preservation(
     cap: int = DEFAULT_CAP,
 ) -> CheckReport:
     """Whenever z lies between x and y, the image of z lies between the
-    images of x and y. Probes are the window's member samples plus two
-    interior points of each span; every probe triple is decided, by one
-    sweep over the probes in sorted order."""
+    images of x and y.
+
+    Probes are the window's samples in x order: members and the piece
+    limits at span ends, where at one x the limit closing a span comes
+    before the member and the limit opening a span after it. The map is
+    affine on a span, so its members' images lie between the two end
+    limits, and one sweep for weak monotonicity over the probe values
+    decides every triple of members."""
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     notes = _base_notes(ws)
     scope = _scope(window)
-    probes = {(s.x, s.value) for s in ws.point_samples}
-    for span in ws.spans:
-        q, m = span.inner_pair()
-        probes.add((q, span.piece.apply(q)))
-        probes.add((m, span.piece.apply(m)))
-    members = sorted(probes)
-    bad = _first_between_violation([v for _, v in members])
+    probes = sorted(
+        ws.all_samples, key=lambda s: (s.x, 1 if s.member else 0 if s.x == s.span.hi else 2)
+    )
+    bad = _first_between_violation([s.value for s in probes])
     if bad is not None:
-        (xa, va), (xb, vb), (xc, vc) = (members[i] for i in bad)
         return CheckReport(
             "between",
             False,
             scope,
-            Witness((xa, xb, xc), (va, vb, vc), "middle point leaves the image segment"),
+            _member_witness(
+                tuple(probes[i] for i in bad), "middle point leaves the image segment", _breaks_between
+            ),
             tuple(notes),
         )
     return CheckReport("between", True, scope, None, tuple(notes))
+
+
+def _breaks_between(a: Sample, b: Sample, c: Sample) -> bool:
+    return a.x < b.x < c.x and not min(a.value, c.value) <= b.value <= max(a.value, c.value)
 
 
 def _first_between_violation(values: list) -> Optional[tuple]:

@@ -131,7 +131,7 @@ def build_plot(
         ws = collect_samples(desc, space, window, cap)
         isolated = set(mat.points)
         dots = tuple(
-            GraphDot(s.x, s.value) for s in ws.member_samples if s.x in isolated
+            GraphDot(s.x, s.value) for s in ws.point_samples if s.x in isolated
         )
         segments = tuple(
             GraphSegment(s.lo, s.hi, s.piece.apply(s.lo), s.piece.apply(s.hi), s.piece.slope)

@@ -210,13 +210,93 @@ DEFAULT_WINDOW = Window(Fraction(-10), Fraction(10))
 # A gap program produces the successive gaps g(1), g(2), ... between
 # consecutive points walking outward from the anchor. Atomic rules come
 # from a fixed catalog so that divergence, monotonicity and spectrum
-# extrema stay decidable; `alt` interleaves atoms cyclically and `list`
-# gives an explicit finite side.
+# extrema stay decidable; `alt` interleaves atoms cyclically and
+# `explicit` gives a finite side.
+#
+# Each rule class answers for itself: partial sums and their inverse,
+# the indices and count of a gap value, the extremal gaps with their
+# attainment and multiplicity, monotonicity, convergence and total, and
+# finiteness. An atom's gap stream is monotone; the atom states its
+# direction (`trend`) and `_Atom` derives what follows from it. `alt`
+# combines the answers of its atoms, `explicit` reads its list.
+
+
+def _as_index(n: Scalar) -> tuple:
+    """(n,) when n is an index n >= 1, else ()."""
+    return (int(n),) if n.denominator == 1 and n >= 1 else ()
+
+
+def _attained_extremum(bounds: list, pick) -> Optional[tuple]:
+    """(value, multiplicity) of the extreme of (bound, multiplicity) pairs,
+    or None when a pair reaching it does not attain it (multiplicity 0)."""
+    best = pick(v for v, _ in bounds)
+    mult: Multiplicity = 0
+    for v, m in bounds:
+        if v == best:
+            if not m:
+                return None
+            mult = _add_mult(mult, m)
+    return best, mult
+
+
+class _Atom:
+    """Facts of an atomic rule that follow from its monotone gap stream.
+
+    ``trend`` is 1 when the gaps grow without bound, -1 when they shrink
+    to 0, and 0 when they are constant.
+    """
+
+    finite = False
+    converges = False
+    total = POS_INF  # a divergent side's gaps sum to infinity
+    closed_sums = True
+
+    def monotone(self) -> dict:
+        return {
+            "nondecreasing": self.trend >= 0,
+            "nonincreasing": self.trend <= 0,
+            "strict": self.trend != 0,
+        }
+
+    @property
+    def inf(self) -> tuple:
+        """(infimum, multiplicity), with multiplicity 0 when not attained."""
+        if self.trend < 0:
+            return ZERO, 0
+        return self.gap(1), (1 if self.trend else INFINITE)
+
+    @property
+    def sup(self) -> tuple:
+        """(supremum, multiplicity), with multiplicity 0 when not attained."""
+        if self.trend > 0:
+            return POS_INF, 0
+        return self.gap(1), (1 if self.trend else INFINITE)
+
+    def minimum(self) -> Optional[tuple]:
+        """(value, multiplicity) of the attained minimum gap, or None."""
+        return _attained_extremum([self.inf], min)
+
+    def maximum(self) -> Optional[tuple]:
+        """(value, multiplicity) of the attained maximum gap, or None."""
+        return _attained_extremum([self.sup], max)
+
+    def count_of(self, v: Scalar) -> Multiplicity:
+        """How many indices n >= 1 have gap(n) == v exactly."""
+        if not self.indices_of(v):
+            return 0
+        return INFINITE if self.trend == 0 else 1
+
+    @property
+    def support(self) -> Optional[frozenset]:
+        """The distinct gap values when there are finitely many, else None."""
+        return frozenset((self.gap(1),)) if self.trend == 0 else None
 
 
 @dataclass(frozen=True)
-class ConstantGaps:
+class ConstantGaps(_Atom):
     value: Scalar
+
+    trend = 0
 
     def __post_init__(self):
         if self.value <= 0:
@@ -225,12 +305,26 @@ class ConstantGaps:
     def gap(self, n: int) -> Scalar:
         return self.value
 
+    def partial(self, n: int) -> Scalar:
+        return self.value * n
+
+    def partial_floor(self, offset: Scalar) -> int:
+        return offset // self.value
+
+    def indices_of(self, v: Scalar) -> tuple:
+        """The indices with gap v; a constant stream lists only the first."""
+        return (1,) if v == self.value else ()
+
+    @property
+    def rational(self) -> tuple:
+        return (self.value,), (ONE,)
+
     def __str__(self):
         return f"const({format_scalar(self.value)})"
 
 
 @dataclass(frozen=True)
-class AffineGaps:
+class AffineGaps(_Atom):
     """gap(n) = slope*n + offset, strictly positive for every n >= 1."""
 
     slope: Scalar
@@ -242,18 +336,50 @@ class AffineGaps:
         if self.slope + self.offset <= 0:
             raise SpaceError("affine gap rule nonpositive at n=1")
 
+    @property
+    def trend(self) -> int:
+        return 1 if self.slope else 0
+
     def gap(self, n: int) -> Scalar:
         return self.slope * n + self.offset
+
+    def partial(self, n: int) -> Scalar:
+        return self.slope * Fraction(n * (n + 1), 2) + self.offset * n
+
+    def partial_floor(self, offset: Scalar) -> int:
+        if self.slope == 0:
+            return offset // self.offset
+        # 2*S(n) = slope*n^2 + (slope + 2*self.offset)*n; cleared of
+        # denominators, S(n) <= offset reads a n^2 + b n - c <= 0 with
+        # a, c > 0, that is 2an + b <= sqrt(b^2 + 4ac) for n >= 0. The left
+        # side is an integer, so isqrt decides it exactly.
+        a, b, c = self.slope, self.slope + 2 * self.offset, 2 * offset
+        scale = a.denominator * b.denominator * c.denominator
+        a, b, c = int(a * scale), int(b * scale), int(c * scale)
+        return (isqrt(b * b + 4 * a * c) - b) // (2 * a)
+
+    def indices_of(self, v: Scalar) -> tuple:
+        """The indices with gap v; a constant stream lists only the first."""
+        if self.slope == 0:
+            return (1,) if v == self.offset else ()
+        return _as_index((v - self.offset) / self.slope)
+
+    @property
+    def rational(self) -> tuple:
+        return (self.offset, self.slope), (ONE,)
 
     def __str__(self):
         return f"affine({format_scalar(self.slope)}n+{format_scalar(self.offset)})"
 
 
 @dataclass(frozen=True)
-class ReciprocalGaps:
+class ReciprocalGaps(_Atom):
     """gap(n) = 1/(n + shift); decreasing, divergent partial sums."""
 
     shift: Scalar
+
+    trend = -1
+    closed_sums = False  # harmonic partial sums: sides are walked
 
     def __post_init__(self):
         if self.shift + 1 <= 0:
@@ -262,12 +388,22 @@ class ReciprocalGaps:
     def gap(self, n: int) -> Scalar:
         return ONE / (n + self.shift)
 
+    def partial(self, n: int) -> None:
+        return None
+
+    def indices_of(self, v: Scalar) -> tuple:
+        return _as_index(ONE / v - self.shift) if v > 0 else ()
+
+    @property
+    def rational(self) -> tuple:
+        return (ONE,), (self.shift, ONE)
+
     def __str__(self):
         return f"recip(n+{format_scalar(self.shift)})"
 
 
 @dataclass(frozen=True)
-class TelescopingGaps:
+class TelescopingGaps(_Atom):
     """gap(n) = 1/((n+shift)(n+shift+1)); partial sums telescope to 1/(shift+1).
 
     The one convergent catalog form: a side built on it accumulates at
@@ -275,6 +411,9 @@ class TelescopingGaps:
     """
 
     shift: Scalar
+
+    trend = -1
+    converges = True
 
     def __post_init__(self):
         if self.shift + 1 <= 0:
@@ -288,6 +427,30 @@ class TelescopingGaps:
     def total(self) -> Scalar:
         return ONE / (self.shift + 1)
 
+    def partial(self, n: int) -> Scalar:
+        return self.total - ONE / (n + self.shift + 1)
+
+    def partial_floor(self, offset: Scalar) -> int:
+        # S(n) = 1/(s+1) - 1/(n+s+1), so with R = 1/(s+1) - offset > 0,
+        # S(n) <= offset iff n <= 1/R - s - 1
+        rest = self.total - offset
+        if rest <= 0:
+            raise SpaceError(f"offset {format_scalar(offset)} reaches the limit of {self}")
+        return (ONE / rest - self.shift - 1).__floor__()
+
+    def indices_of(self, v: Scalar) -> tuple:
+        # k(k+1) = 1/v with k = n + shift > 0; isqrt finds the one candidate
+        if v <= 0 or (ONE / v).denominator != 1:
+            return ()
+        t = (ONE / v).numerator
+        k = (isqrt(4 * t + 1) - 1) // 2
+        return _as_index(k - self.shift) if k * (k + 1) == t else ()
+
+    @property
+    def rational(self) -> tuple:
+        s = self.shift
+        return (ONE,), (s * (s + 1), 2 * s + 1, ONE)
+
     def __str__(self):
         return f"recipdiff(n+{format_scalar(self.shift)})"
 
@@ -298,16 +461,95 @@ class AlternatingGaps:
 
     atoms: tuple
 
+    finite = False
+
     def __post_init__(self):
         if len(self.atoms) < 2:
             raise SpaceError("alt needs at least two atoms")
         for atom in self.atoms:
-            if isinstance(atom, (AlternatingGaps, ExplicitGaps)):
+            if not isinstance(atom, _Atom):
                 raise SpaceError("alt atoms must be atomic catalog rules")
 
     def gap(self, n: int) -> Scalar:
         k = len(self.atoms)
         return self.atoms[(n - 1) % k].gap(1 + (n - 1) // k)
+
+    @property
+    def converges(self) -> bool:
+        return all(a.converges for a in self.atoms)
+
+    @property
+    def total(self):
+        return sum((a.total for a in self.atoms), ZERO) if self.converges else POS_INF
+
+    @property
+    def closed_sums(self) -> bool:
+        return all(a.closed_sums for a in self.atoms)
+
+    def partial(self, n: int) -> Optional[Scalar]:
+        full, extra = divmod(n, len(self.atoms))
+        parts = [a.partial(full + 1 if j < extra else full) for j, a in enumerate(self.atoms)]
+        return None if None in parts else sum(parts, ZERO)
+
+    def partial_floor(self, offset: Scalar) -> int:
+        """The largest n >= 0 with S(n) <= offset, by doubling and bisection."""
+        if self.partial(1) > offset:
+            return 0
+        hi = 2
+        while self.partial(hi) <= offset:
+            hi *= 2
+            if hi > 1 << 62:
+                raise SpaceError("gap index search ran away; inconsistent rule")
+        lo = hi // 2  # S(lo) <= offset < S(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.partial(mid) <= offset:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def indices_of(self, v: Scalar) -> tuple:
+        k = len(self.atoms)
+        return tuple(
+            sorted((n - 1) * k + j + 1 for j, a in enumerate(self.atoms) for n in a.indices_of(v))
+        )
+
+    def count_of(self, v: Scalar) -> Multiplicity:
+        total: Multiplicity = 0
+        for a in self.atoms:
+            total = _add_mult(total, a.count_of(v))
+        return total
+
+    def minimum(self) -> Optional[tuple]:
+        return _attained_extremum([a.inf for a in self.atoms], min)
+
+    def maximum(self) -> Optional[tuple]:
+        return _attained_extremum([a.sup for a in self.atoms], max)
+
+    def monotone(self) -> dict:
+        """Exact monotonicity across the cycle: each adjacent stream
+        position compares two atoms, decided by a polynomial sign test."""
+        atoms = self.atoms
+        pairs = [(atoms[j], 0, atoms[j + 1], 0) for j in range(len(atoms) - 1)]
+        pairs.append((atoms[-1], 0, atoms[0], 1))  # wrap to the next cycle
+        nondec, strict_up = True, False
+        for f, fs, g, gs in pairs:
+            ok, strict = _forall_le(f, fs, g, gs)
+            nondec = nondec and ok
+            strict_up = strict_up or strict
+        noninc, strict_dn = True, False
+        for f, fs, g, gs in pairs:
+            ok, strict = _forall_le(g, gs, f, fs)
+            noninc = noninc and ok
+            strict_dn = strict_dn or strict
+        strict = (nondec and strict_up) or (noninc and strict_dn) or (not nondec and not noninc)
+        return {"nondecreasing": nondec, "nonincreasing": noninc, "strict": strict}
+
+    @property
+    def support(self) -> Optional[frozenset]:
+        supports = [a.support for a in self.atoms]
+        return None if None in supports else frozenset().union(*supports)
 
     def __str__(self):
         return "alt(" + ",".join(str(a) for a in self.atoms) + ")"
@@ -319,6 +561,9 @@ class ExplicitGaps:
 
     values: tuple
 
+    finite = True
+    converges = False
+
     def __post_init__(self):
         if not self.values:
             raise SpaceError("explicit gap list must be nonempty")
@@ -329,6 +574,33 @@ class ExplicitGaps:
     def gap(self, n: int) -> Scalar:
         return self.values[n - 1]
 
+    @property
+    def total(self) -> Scalar:
+        return sum(self.values, ZERO)
+
+    def partial(self, n: int) -> Optional[Scalar]:
+        return sum(self.values[:n], ZERO) if n <= len(self.values) else None
+
+    def indices_of(self, v: Scalar) -> tuple:
+        return tuple(i + 1 for i, g in enumerate(self.values) if g == v)
+
+    def count_of(self, v: Scalar) -> int:
+        return len(self.indices_of(v))
+
+    def minimum(self) -> tuple:
+        return _attained_extremum([(g, 1) for g in self.values], min)
+
+    def maximum(self) -> tuple:
+        return _attained_extremum([(g, 1) for g in self.values], max)
+
+    def monotone(self) -> dict:
+        steps = list(zip(self.values, self.values[1:]))
+        return {
+            "nondecreasing": all(a <= b for a, b in steps),
+            "nonincreasing": all(a >= b for a, b in steps),
+            "strict": any(a != b for a, b in steps),
+        }
+
     def __str__(self):
         return "explicit(" + ",".join(format_scalar(v) for v in self.values) + ")"
 
@@ -337,261 +609,32 @@ GapProgram = Union[
     ConstantGaps, AffineGaps, ReciprocalGaps, TelescopingGaps, AlternatingGaps, ExplicitGaps
 ]
 
-_ATOMS = (ConstantGaps, AffineGaps, ReciprocalGaps, TelescopingGaps)
-
-
-def program_is_finite(p: GapProgram) -> bool:
-    return isinstance(p, ExplicitGaps)
-
-
-def program_converges(p: GapProgram) -> bool:
-    """Whether the infinite side built on p stays bounded (accumulates)."""
-    if isinstance(p, TelescopingGaps):
-        return True
-    if isinstance(p, AlternatingGaps):
-        return all(isinstance(a, TelescopingGaps) for a in p.atoms)
-    return False
-
-
-def program_total(p: GapProgram) -> Scalar:
-    """Exact sum of all gaps of a convergent program."""
-    if isinstance(p, TelescopingGaps):
-        return p.total
-    if isinstance(p, AlternatingGaps):
-        return sum((a.total for a in p.atoms), ZERO)
-    raise SpaceError(f"{p} does not converge")
-
-
-def _atom_partial(p, n: int) -> Optional[Scalar]:
-    """Closed-form sum of p.gap(1..n), or None when the rule has no closed form."""
-    if isinstance(p, ConstantGaps):
-        return p.value * n
-    if isinstance(p, AffineGaps):
-        return p.slope * Fraction(n * (n + 1), 2) + p.offset * n
-    if isinstance(p, TelescopingGaps):
-        return ONE / (p.shift + 1) - ONE / (n + p.shift + 1)
-    return None  # reciprocal: harmonic partial sums
-
-
-def program_partial(p: GapProgram, n: int) -> Optional[Scalar]:
-    """Closed-form sum of the first n gaps, or None when only walking works."""
-    if n == 0:
-        return ZERO
-    if isinstance(p, ExplicitGaps):
-        return sum(p.values[:n], ZERO) if n <= len(p.values) else None
-    if isinstance(p, AlternatingGaps):
-        k = len(p.atoms)
-        full, extra = divmod(n, k)
-        total = ZERO
-        for j, atom in enumerate(p.atoms):
-            part = _atom_partial(atom, full + 1 if j < extra else full)
-            if part is None:
-                return None
-            total += part
-        return total
-    return _atom_partial(p, n)
-
-
-def _supports_closed_sums(p: GapProgram) -> bool:
-    return program_partial(p, 1) is not None
-
 
 def _max_n_with_sum_below(p: GapProgram, offset: Scalar, strict: bool) -> int:
     """Largest n >= 0 with S(n) < offset (strict) or S(n) <= offset.
 
     Partial sums S are strictly increasing from S(0) = 0, so an offset
     <= 0 gives 0; the caller must rule out the convergent case where every
-    n qualifies (total at or below the offset).
-
-    ``const``, ``affine`` and ``recipdiff`` invert S in closed form: the
-    exact floor of the real n with S(n) = offset is the answer, less one
-    when ``strict`` and S hits the offset exactly, which one ``ok`` test
-    settles. Their cost does not grow with the size of the offset.
-    ``alt`` interleaves are searched by doubling and bisection. ``recip``
-    has no closed partial sums; its sides are walked and never reach this
-    function.
+    n qualifies (total at or below the offset). ``partial_floor`` answers
+    the non-strict question, in closed form for ``const``, ``affine`` and
+    ``recipdiff``, whose cost does not grow with the size of the offset;
+    the strict answer is one less when S hits the offset exactly, which
+    one partial sum settles. ``recip`` has no closed partial sums; its
+    sides are walked and never reach this function.
     """
-
-    def ok(n: int) -> bool:
-        s = program_partial(p, n)
-        return s < offset if strict else s <= offset
-
     if offset <= 0:
         return 0
-    n = _inverse_partial_floor(p, offset)
-    if n is not None:
-        return n if ok(n) else n - 1
-    if not ok(1):
-        return 0
-    hi = 2
-    while ok(hi):
-        hi *= 2
-        if hi > 1 << 62:
-            raise SpaceError("gap index search ran away; inconsistent rule")
-    lo = hi // 2  # ok(lo) holds, ok(hi) fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    n = p.partial_floor(offset)
+    return n - 1 if strict and n and p.partial(n) == offset else n
 
 
-def _inverse_partial_floor(p: GapProgram, offset: Scalar) -> Optional[int]:
-    """The largest n >= 0 with S(n) <= offset, for offset > 0, or None when
-    the rule has no closed-form inverse."""
-    if isinstance(p, ConstantGaps):
-        return offset // p.value
-    if isinstance(p, AffineGaps):
-        if p.slope == 0:
-            return offset // p.offset
-        # 2*S(n) = slope*n^2 + (slope + 2*p.offset)*n; cleared of
-        # denominators, S(n) <= offset reads a n^2 + b n - c <= 0 with
-        # a, c > 0, that is 2an + b <= sqrt(b^2 + 4ac) for n >= 0. The left
-        # side is an integer, so isqrt decides it exactly.
-        a, b, c = p.slope, p.slope + 2 * p.offset, 2 * offset
-        scale = a.denominator * b.denominator * c.denominator
-        a, b, c = int(a * scale), int(b * scale), int(c * scale)
-        return (isqrt(b * b + 4 * a * c) - b) // (2 * a)
-    if isinstance(p, TelescopingGaps):
-        # S(n) = 1/(s+1) - 1/(n+s+1), so with R = 1/(s+1) - offset > 0,
-        # S(n) <= offset iff n <= 1/R - s - 1
-        rest = p.total - offset
-        if rest <= 0:
-            raise SpaceError(f"offset {format_scalar(offset)} reaches the limit of {p}")
-        return (ONE / rest - p.shift - 1).__floor__()
-    return None
-
-
-# --- minima / maxima of a program's gap stream ----------------------
+# --- exact monotonicity of an interleave ----------------------------
 #
-# Each atom's stream is monotone, so its infimum/supremum and their
-# attainment are closed-form. These feed the symbolic gap spectrum.
-
-
-def _atom_inf(p) -> tuple:
-    """(infimum value or None-for-zero-unattained, attained, multiplicity-if-attained)"""
-    if isinstance(p, ConstantGaps):
-        return p.value, True, INFINITE
-    if isinstance(p, AffineGaps):
-        if p.slope == 0:
-            return p.offset, True, INFINITE
-        return p.gap(1), True, 1
-    # recip / telescoping: strictly decreasing to 0, never attained
-    return ZERO, False, 0
-
-
-def _atom_sup(p) -> tuple:
-    """(supremum value or POS_INF, attained, multiplicity-if-attained)"""
-    if isinstance(p, ConstantGaps):
-        return p.value, True, INFINITE
-    if isinstance(p, AffineGaps):
-        if p.slope == 0:
-            return p.offset, True, INFINITE
-        return POS_INF, False, 0
-    return p.gap(1), True, 1
-
-
-def _atom_count_of(p, v: Scalar) -> Multiplicity:
-    """How many indices n >= 1 have p.gap(n) == v exactly."""
-    if v <= 0:
-        return 0
-    if isinstance(p, ConstantGaps):
-        return INFINITE if v == p.value else 0
-    if isinstance(p, AffineGaps):
-        if p.slope == 0:
-            return INFINITE if v == p.offset else 0
-        n = (v - p.offset) / p.slope
-        return 1 if n.denominator == 1 and n >= 1 else 0
-    if isinstance(p, ReciprocalGaps):
-        n = ONE / v - p.shift
-        return 1 if n.denominator == 1 and n >= 1 else 0
-    if isinstance(p, TelescopingGaps):
-        # solve k(k+1) = 1/v with k = n + shift
-        target = ONE / v
-        if target.denominator != 1:
-            return 0
-        t = target.numerator
-        k = (isqrt(4 * t + 1) - 1) // 2
-        for cand in (k, k + 1):
-            if cand * (cand + 1) == t:
-                n = Fraction(cand) - p.shift
-                if n.denominator == 1 and n >= 1:
-                    return 1
-        return 0
-    raise SpaceError(f"count_of not defined on {p}")
-
-
-def program_count_of(p: GapProgram, v: Scalar) -> Multiplicity:
-    if isinstance(p, ExplicitGaps):
-        return sum(1 for g in p.values if g == v)
-    if isinstance(p, AlternatingGaps):
-        total: Multiplicity = 0
-        for atom in p.atoms:
-            total = _add_mult(total, _atom_count_of(atom, v))
-        return total
-    return _atom_count_of(p, v)
-
-
-def program_min(p: GapProgram) -> Optional[tuple]:
-    """(value, multiplicity) of the attained minimum gap, or None if no minimum."""
-    if isinstance(p, ExplicitGaps):
-        m = min(p.values)
-        return m, sum(1 for g in p.values if g == m)
-    atoms = p.atoms if isinstance(p, AlternatingGaps) else (p,)
-    infs = [_atom_inf(a) for a in atoms]
-    lo = min(v for v, _, _ in infs)
-    if any(v == lo and not att for v, att, _ in infs):
-        return None
-    mult: Multiplicity = 0
-    for atom, (v, att, m) in zip(atoms, infs):
-        if v == lo:
-            mult = _add_mult(mult, m)
-    return lo, mult
-
-
-def program_max(p: GapProgram) -> Optional[tuple]:
-    """(value, multiplicity) of the attained maximum gap, or None if unbounded/unattained."""
-    if isinstance(p, ExplicitGaps):
-        m = max(p.values)
-        return m, sum(1 for g in p.values if g == m)
-    atoms = p.atoms if isinstance(p, AlternatingGaps) else (p,)
-    sups = [_atom_sup(a) for a in atoms]
-    if any(isinstance(v, Infinity) for v, _, _ in sups):
-        return None
-    hi = max(v for v, _, _ in sups)
-    if any(v == hi and not att for v, att, _ in sups):
-        return None
-    mult: Multiplicity = 0
-    for atom, (v, att, m) in zip(atoms, sups):
-        if v == hi:
-            mult = _add_mult(mult, m)
-    return hi, mult
-
-
-# --- exact monotonicity of a program's gap stream -------------------
-#
-# Atomic rules are monotone by type. Interleaves are decided exactly by
-# polynomial sign checks: every atom's gap is a rational function of the
-# cycle index with positive denominator, so "g(n) <= g(n+1) for all n"
-# reduces to polynomials being nonnegative on all integers m >= 1, decided
-# by isolating their real roots with a Sturm sequence (Sturm's theorem, see
+# Every atom's gap is a rational function of the cycle index with positive
+# denominator, so "g(n) <= g(n+1) for all n" across an interleave reduces
+# to polynomials being nonnegative on all integers m >= 1, decided by
+# isolating their real roots with a Sturm sequence (Sturm's theorem, see
 # Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry).
-
-
-def _atom_rational(p) -> tuple:
-    """(numerator coeffs, denominator coeffs) of gap(m), low degree first."""
-    if isinstance(p, ConstantGaps):
-        return (p.value,), (ONE,)
-    if isinstance(p, AffineGaps):
-        return (p.offset, p.slope), (ONE,)
-    if isinstance(p, ReciprocalGaps):
-        return (ONE,), (p.shift, ONE)
-    if isinstance(p, TelescopingGaps):
-        s = p.shift
-        return (ONE,), (s * (s + 1), 2 * s + 1, ONE)
-    raise SpaceError(f"no rational form for {p}")
 
 
 def _poly_shift(coeffs: tuple, s: int) -> tuple:
@@ -702,51 +745,13 @@ def _poly_nonneg_all(coeffs: tuple) -> tuple:
 
 def _forall_le(f, fs: int, g, gs: int) -> tuple:
     """(f.gap(m+fs) <= g.gap(m+gs) for all m >= 1, strict somewhere)."""
-    fn, fd = _atom_rational(f)
-    gn, gd = _atom_rational(g)
+    fn, fd = f.rational
+    gn, gd = g.rational
     fn, fd = _poly_shift(fn, fs), _poly_shift(fd, fs)
     gn, gd = _poly_shift(gn, gs), _poly_shift(gd, gs)
     # want gn/gd - fn/fd >= 0 with both denominators positive on m >= 1
     diff = _poly_sub(_poly_mul(gn, fd), _poly_mul(fn, gd))
     return _poly_nonneg_all(diff)
-
-
-def program_monotone(p: GapProgram) -> dict:
-    """Exact monotonicity of the gap stream.
-
-    Returns {"nondecreasing": bool, "nonincreasing": bool, "strict": bool}
-    where "strict" means some consecutive pair differs.
-    """
-    if isinstance(p, ExplicitGaps):
-        vs = p.values
-        return {
-            "nondecreasing": all(a <= b for a, b in zip(vs, vs[1:])),
-            "nonincreasing": all(a >= b for a, b in zip(vs, vs[1:])),
-            "strict": any(a != b for a, b in zip(vs, vs[1:])),
-        }
-    if isinstance(p, ConstantGaps) or (isinstance(p, AffineGaps) and p.slope == 0):
-        return {"nondecreasing": True, "nonincreasing": True, "strict": False}
-    if isinstance(p, AffineGaps):
-        return {"nondecreasing": True, "nonincreasing": False, "strict": True}
-    if isinstance(p, (ReciprocalGaps, TelescopingGaps)):
-        return {"nondecreasing": False, "nonincreasing": True, "strict": True}
-    # Alternating: compare adjacent stream positions across the cycle.
-    atoms = p.atoms
-    k = len(atoms)
-    pairs = [(atoms[j], 1, atoms[j + 1], 1) for j in range(k - 1)]
-    pairs.append((atoms[-1], 1, atoms[0], 2))  # wrap to the next cycle
-    nondec, strict_up = True, False
-    for f, fs, g, gs in pairs:
-        ok, strict = _forall_le(f, fs - 1, g, gs - 1)
-        nondec = nondec and ok
-        strict_up = strict_up or strict
-    noninc, strict_dn = True, False
-    for f, fs, g, gs in pairs:
-        ok, strict = _forall_le(g, gs - 1, f, fs - 1)
-        noninc = noninc and ok
-        strict_dn = strict_dn or strict
-    strict = (nondec and strict_up) or (noninc and strict_dn) or (not nondec and not noninc)
-    return {"nondecreasing": nondec, "nonincreasing": noninc, "strict": strict}
 
 
 # ===================================================================
@@ -937,10 +942,10 @@ def _side_reach(program: Optional[GapProgram]) -> tuple:
     """
     if program is None:
         return "none", ZERO
-    if program_is_finite(program):
-        return "finite", sum(program.values, ZERO)
-    if program_converges(program):
-        return "convergent", program_total(program)
+    if program.finite:
+        return "finite", program.total
+    if program.converges:
+        return "convergent", program.total
     return "divergent", None
 
 
@@ -1069,20 +1074,18 @@ def _side_member(anchor: Scalar, program: Optional[GapProgram], sign: int, x: Sc
     if program is None:
         return False
     pos = anchor
-    if program_is_finite(program):
+    if program.finite:
         for g in program.values:
             pos = pos + sign * g
             if pos == x:
                 return True
         return False
     offset = sign * (x - anchor)
-    if offset <= 0:
+    if offset <= 0 or offset >= program.total:
         return False
-    if program_converges(program) and offset >= program_total(program):
-        return False
-    if _supports_closed_sums(program):
+    if program.closed_sums:
         n = _max_n_with_sum_below(program, offset, strict=False)
-        return n >= 1 and program_partial(program, n) == offset
+        return n >= 1 and program.partial(n) == offset
     for n in range(1, cap + 1):
         pos = pos + sign * program.gap(n)
         if pos == x:
@@ -1113,23 +1116,27 @@ def component_contains(comp: Component, x: Scalar, cap: int = DEFAULT_CAP) -> bo
         if x > comp.anchor:
             return _side_member(comp.anchor, comp.right, +1, x, cap)
         return _side_member(comp.anchor, comp.left, -1, x, cap)
-    if isinstance(comp, PeriodicIntervals):
-        offset = x - comp.anchor
-        k_num = offset / comp.period
-        k = k_num.numerator // k_num.denominator  # floor
-        for kk in (k, k - 1, k + 1):
-            if comp.direction == RIGHT and kk < 0:
-                continue
-            if comp.direction == LEFT and kk > 0:
-                continue
-            if comp.interval_at(kk).contains(x):
-                return True
-        return False
-    if isinstance(comp, IntervalList):
-        return any(ivl.contains(x) for ivl in comp.intervals)
-    if isinstance(comp, HalfLine):
-        return comp.as_interval().contains(x)
+    if isinstance(comp, _INTERVAL_KINDS):
+        return any(ivl.contains(x) for ivl in intervals_near(comp, x))
     raise SpaceError(f"unknown component {comp!r}")
+
+
+def intervals_near(comp: Component, x: Scalar) -> tuple:
+    """The intervals of a component that can hold x, or a stretch starting
+    at x: of a periodic family, those of the period holding x and of its
+    two neighbours within the direction; none of a discrete component."""
+    if isinstance(comp, PeriodicIntervals):
+        k = ((x - comp.anchor) / comp.period).__floor__()
+        return tuple(
+            comp.interval_at(kk)
+            for kk in (k - 1, k, k + 1)
+            if not (comp.direction == RIGHT and kk < 0 or comp.direction == LEFT and kk > 0)
+        )
+    if isinstance(comp, IntervalList):
+        return comp.intervals
+    if isinstance(comp, HalfLine):
+        return (comp.as_interval(),)
+    return ()
 
 
 def contains(space: SubspaceDescription, x: Scalar, cap: int = DEFAULT_CAP) -> bool:
@@ -1204,14 +1211,14 @@ def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
                 return
             edge = hi if sign > 0 else lo
             pos = comp.anchor
-            if program_is_finite(program):
+            if program.finite:
                 for g in program.values:
                     pos = pos + sign * g
                     if lo <= pos <= hi:
                         points.append(pos)
                 return
-            convergent = program_converges(program)
-            limit = comp.anchor + sign * program_total(program) if convergent else None
+            convergent = program.converges
+            limit = comp.anchor + sign * program.total if convergent else None
             if convergent and sign > 0 and limit <= lo:
                 return  # the whole side sits below the window
             if convergent and sign < 0 and limit >= hi:
@@ -1368,29 +1375,29 @@ def _component_next_above(comp: Component, x: Scalar, cap: int):
         if program is None:
             return
         pos = comp.anchor
-        if program_is_finite(program):
+        if program.finite:
             for g in program.values:
                 pos = pos + sign * g
                 if pos > x:
                     cands.append(pos)
             return
-        if program_converges(program):
-            limit = comp.anchor + sign * program_total(program)
+        if program.converges:
+            limit = comp.anchor + sign * program.total
             if sign < 0 and limit >= x:
                 # all left-side points exceed x and decrease to the limit: no minimum
                 raise _Blocked(limit)
             if sign > 0 and limit <= x:
                 return
-        if _supports_closed_sums(program):
+        if program.closed_sums:
             if sign > 0:
                 # smallest n with S(n) > x - anchor
                 n = _max_n_with_sum_below(program, x - comp.anchor, strict=False) + 1
-                cands.append(comp.anchor + program_partial(program, n))
+                cands.append(comp.anchor + program.partial(n))
             else:
                 # largest n with S(n) < anchor - x keeps the point above x
                 n = _max_n_with_sum_below(program, comp.anchor - x, strict=True)
                 if n >= 1:
-                    cands.append(comp.anchor - program_partial(program, n))
+                    cands.append(comp.anchor - program.partial(n))
             return
         prev = None
         for n in range(1, cap + 1):
@@ -1608,7 +1615,7 @@ def sequence_view(space: SubspaceDescription, cap: int = DEFAULT_CAP) -> Optiona
         # GapSequence: explicit sides unfold into points, rule sides become tails.
         seq_pts = [comp.anchor]
         if comp.left is not None:
-            if program_is_finite(comp.left):
+            if comp.left.finite:
                 pos = comp.anchor
                 for g in comp.left.values:
                     pos -= g
@@ -1618,7 +1625,7 @@ def sequence_view(space: SubspaceDescription, cap: int = DEFAULT_CAP) -> Optiona
                     return None
                 left_tail = comp.left
         if comp.right is not None:
-            if program_is_finite(comp.right):
+            if comp.right.finite:
                 pos = comp.anchor
                 for g in comp.right.values:
                     pos += g
@@ -1652,14 +1659,14 @@ def _symbolic_spectrum(space: SubspaceDescription, cap: int) -> Optional[GapSpec
     def count_of(v: Scalar) -> Multiplicity:
         total: Multiplicity = sum(1 for g in middle if g == v)
         for t in tails:
-            total = _add_mult(total, program_count_of(t, v))
+            total = _add_mult(total, t.count_of(v))
         return total
 
     # Minimum over middle gaps and tail minima.
     candidates = list(middle)
     min_blocked = False
     for t in tails:
-        m = program_min(t)
+        m = t.minimum()
         if m is None:
             min_blocked = True
         else:
@@ -1673,7 +1680,7 @@ def _symbolic_spectrum(space: SubspaceDescription, cap: int) -> Optional[GapSpec
     max_blocked = False
     candidates = list(middle)
     for t in tails:
-        m = program_max(t)
+        m = t.maximum()
         if m is None:
             max_blocked = True
         else:
@@ -1685,22 +1692,7 @@ def _symbolic_spectrum(space: SubspaceDescription, cap: int) -> Optional[GapSpec
 
     # Complete enumeration is possible when every tail repeats finitely many
     # distinct gaps (constant atoms only).
-    def finite_support(t: GapProgram) -> Optional[set]:
-        if isinstance(t, ConstantGaps):
-            return {t.value}
-        if isinstance(t, AffineGaps) and t.slope == 0:
-            return {t.offset}
-        if isinstance(t, AlternatingGaps):
-            vals = set()
-            for a in t.atoms:
-                sup = finite_support(a)
-                if sup is None:
-                    return None
-                vals |= sup
-            return vals
-        return None
-
-    supports = [finite_support(t) for t in tails]
+    supports = [t.support for t in tails]
     if all(s is not None for s in supports):
         values = set(middle)
         for s in supports:

@@ -344,6 +344,47 @@ def test_betweenness_decides_every_triple_of_a_wide_window():
     assert report.notes == ()
 
 
+def _two_open_spans(first_icpt, second_icpt) -> tuple:
+    """(0,1) and (1,2), both open, each moved by a unit-slope piece."""
+    left, right = Interval.open(F(0), F(1)), Interval.open(F(1), F(2))
+    space = SubspaceDescription(components=(IntervalList((left, right)),))
+    return space, MapDescription(clauses=(affine(left, 1, first_icpt), affine(right, 1, second_icpt)))
+
+
+def _breaks_betweenness(desc, space, xs) -> bool:
+    a, b, c = (eval_map(desc, space, x) for x in xs)
+    return xs[0] < xs[1] < xs[2] and not min(a, c) <= b <= max(a, c)
+
+
+def test_betweenness_sees_a_break_near_a_span_upper_end():
+    # (1/2, 99/100, 101/100) -> (1/2, 99/100, 41/100): the middle point sits
+    # near the upper end of (0,1), past both interior probes of that span.
+    space, drop = _two_open_spans(0, F(-3, 5))
+    report = check_between_preservation(drop, space, Window(F(-1), F(3)))
+    assert not report.passed
+    assert report.witness.points == (F(1, 16), F(15, 16), F(17, 16))
+    assert _breaks_betweenness(drop, space, report.witness.points)
+
+
+def test_betweenness_sees_a_break_near_a_span_lower_end():
+    # (99/100, 101/100, 3/2) -> (159/100, 101/100, 3/2): the middle point sits
+    # near the lower end of (1,2).
+    space, lift = _two_open_spans(F(3, 5), 0)
+    report = check_between_preservation(lift, space, Window(F(-1), F(3)))
+    assert not report.passed
+    assert report.witness.detail == "middle point leaves the image segment"
+    assert _breaks_betweenness(lift, space, report.witness.points)
+
+
+def test_pair_witness_nudges_each_limit_into_its_own_span():
+    # Both limits at the jump x = 1 belong to different spans; each must
+    # step into its own, giving a pair of members that moves apart.
+    space, drop = _two_open_spans(0, F(-3, 5))
+    report = check_nonexpansive(drop, space, Window(F(-1), F(3)))
+    assert not report.passed
+    assert report.witness.render() == "pair moves apart (15/16, 17/16 -> 15/16, 37/80)"
+
+
 # -------------------------------------------------------------------
 # Lipschitz bound
 # -------------------------------------------------------------------
@@ -551,3 +592,35 @@ def test_sweep_reports_equal_the_all_pairs_reports(case):
     swept = lipschitz_upper(desc, space, W)
     with mock.patch.object(maps, "_sweep_lipschitz", _all_pairs_max_ratio):
         assert lipschitz_upper(desc, space, W) == swept
+
+
+@given(_mixed_spaces_and_maps())
+def test_checks_agree_with_brute_force_on_dense_members(case):
+    """Members here are the isolated points and a grid of 1/64 steps in
+    every interval. A pass must hold on all of them, and a witness that is
+    not marked as limit points must be made of members that break it."""
+    space, desc = case
+    xs = set()
+    for comp in space.components:
+        if isinstance(comp, FinitePoints):
+            xs.update(comp.points)
+            continue
+        for ivl in comp.intervals:
+            lo, hi = ivl.lo.value, ivl.hi.value
+            xs.update(x for x in (lo + (hi - lo) * F(k, 64) for k in range(65)) if ivl.contains(x))
+    members = [(x, eval_map(desc, space, x)) for x in sorted(xs)]
+    values = [v for _, v in members]
+    monotone = values in (sorted(values), sorted(values, reverse=True))
+    report = check_between_preservation(desc, space, W)
+    if report.passed:
+        assert monotone
+    elif "(limit points)" not in report.witness.detail:
+        assert _breaks_betweenness(desc, space, report.witness.points)
+    expands = any(abs(v - u) > y - x for (x, u), (y, v) in zip(members, members[1:]))
+    report = check_nonexpansive(desc, space, W)
+    if report.passed:
+        assert not expands
+    elif "(limit points)" not in report.witness.detail:
+        (x, y), (u, v) = report.witness.points, report.witness.images
+        assert (u, v) == (eval_map(desc, space, x), eval_map(desc, space, y))
+        assert abs(u - v) > abs(x - y)

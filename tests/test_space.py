@@ -7,6 +7,7 @@ from the implementation.
 """
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -25,6 +26,7 @@ from plasti.space import (
     ConstantGaps,
     Endpoint,
     ExplicitGaps,
+    INFINITE,
     FinitePoints,
     GapSequence,
     HalfLine,
@@ -35,6 +37,10 @@ from plasti.space import (
     SubspaceDescription,
     TelescopingGaps,
     Window,
+    _poly_mul,
+    _poly_nonneg_all,
+    _poly_shift,
+    _poly_sub,
     accumulation_points,
     ball_census,
     contains,
@@ -44,11 +50,10 @@ from plasti.space import (
     materialize,
     negate,
     predecessor,
-    program_partial,
     successor,
     validate_metadata,
 )
-from plasti.scalar import NEG_INF, POS_INF
+from plasti.scalar import NEG_INF, POS_INF, Infinity
 
 W = Window(F(-10), F(10))
 
@@ -418,6 +423,331 @@ def test_progression_gap_spectrum_is_the_step(anchor, step):
 
 
 # -------------------------------------------------------------------
+# Gap-rule facts against the isinstance ladders they replaced
+# -------------------------------------------------------------------
+#
+# The free functions below answered each fact with one isinstance branch
+# per rule class; the rule classes now answer for themselves. They stay
+# here, unchanged in substance, as the reference the methods must match.
+
+
+def program_is_finite(p):
+    return isinstance(p, ExplicitGaps)
+
+
+def program_converges(p):
+    if isinstance(p, TelescopingGaps):
+        return True
+    if isinstance(p, AlternatingGaps):
+        return all(isinstance(a, TelescopingGaps) for a in p.atoms)
+    return False
+
+
+def program_total(p):
+    if isinstance(p, TelescopingGaps):
+        return p.total
+    if isinstance(p, AlternatingGaps):
+        return sum((a.total for a in p.atoms), F(0))
+    raise SpaceError(f"{p} does not converge")
+
+
+def _atom_partial(p, n):
+    if isinstance(p, ConstantGaps):
+        return p.value * n
+    if isinstance(p, AffineGaps):
+        return p.slope * F(n * (n + 1), 2) + p.offset * n
+    if isinstance(p, TelescopingGaps):
+        return 1 / (p.shift + 1) - 1 / (n + p.shift + 1)
+    return None
+
+
+def program_partial(p, n):
+    if n == 0:
+        return F(0)
+    if isinstance(p, ExplicitGaps):
+        return sum(p.values[:n], F(0)) if n <= len(p.values) else None
+    if isinstance(p, AlternatingGaps):
+        full, extra = divmod(n, len(p.atoms))
+        total = F(0)
+        for j, atom in enumerate(p.atoms):
+            part = _atom_partial(atom, full + 1 if j < extra else full)
+            if part is None:
+                return None
+            total += part
+        return total
+    return _atom_partial(p, n)
+
+
+def _inverse_partial_floor(p, offset):
+    if isinstance(p, ConstantGaps):
+        return offset // p.value
+    if isinstance(p, AffineGaps):
+        if p.slope == 0:
+            return offset // p.offset
+        a, b, c = p.slope, p.slope + 2 * p.offset, 2 * offset
+        scale = a.denominator * b.denominator * c.denominator
+        a, b, c = int(a * scale), int(b * scale), int(c * scale)
+        return (isqrt(b * b + 4 * a * c) - b) // (2 * a)
+    if isinstance(p, TelescopingGaps):
+        return (1 / (p.total - offset) - p.shift - 1).__floor__()
+    return None
+
+
+def _atom_inf(p):
+    if isinstance(p, ConstantGaps):
+        return p.value, True, INFINITE
+    if isinstance(p, AffineGaps):
+        if p.slope == 0:
+            return p.offset, True, INFINITE
+        return p.gap(1), True, 1
+    return F(0), False, 0
+
+
+def _atom_sup(p):
+    if isinstance(p, ConstantGaps):
+        return p.value, True, INFINITE
+    if isinstance(p, AffineGaps):
+        if p.slope == 0:
+            return p.offset, True, INFINITE
+        return POS_INF, False, 0
+    return p.gap(1), True, 1
+
+
+def _atom_count_of(p, v):
+    if v <= 0:
+        return 0
+    if isinstance(p, ConstantGaps):
+        return INFINITE if v == p.value else 0
+    if isinstance(p, AffineGaps):
+        if p.slope == 0:
+            return INFINITE if v == p.offset else 0
+        n = (v - p.offset) / p.slope
+        return 1 if n.denominator == 1 and n >= 1 else 0
+    if isinstance(p, ReciprocalGaps):
+        n = 1 / v - p.shift
+        return 1 if n.denominator == 1 and n >= 1 else 0
+    target = 1 / v  # telescoping: solve k(k+1) = 1/v with k = n + shift
+    if target.denominator != 1:
+        return 0
+    t = target.numerator
+    k = (isqrt(4 * t + 1) - 1) // 2
+    for cand in (k, k + 1):
+        if cand * (cand + 1) == t:
+            n = F(cand) - p.shift
+            if n.denominator == 1 and n >= 1:
+                return 1
+    return 0
+
+
+def _add(a, b):
+    return INFINITE if INFINITE in (a, b) else a + b
+
+
+def program_count_of(p, v):
+    if isinstance(p, ExplicitGaps):
+        return sum(1 for g in p.values if g == v)
+    if isinstance(p, AlternatingGaps):
+        total = 0
+        for atom in p.atoms:
+            total = _add(total, _atom_count_of(atom, v))
+        return total
+    return _atom_count_of(p, v)
+
+
+def _program_extremum(p, bound, pick):
+    if isinstance(p, ExplicitGaps):
+        m = pick(p.values)
+        return m, sum(1 for g in p.values if g == m)
+    atoms = p.atoms if isinstance(p, AlternatingGaps) else (p,)
+    bounds = [bound(a) for a in atoms]
+    if any(isinstance(v, Infinity) for v, _, _ in bounds):
+        return None
+    best = pick(v for v, _, _ in bounds)
+    if any(v == best and not att for v, att, _ in bounds):
+        return None
+    mult = 0
+    for v, _, m in bounds:
+        if v == best:
+            mult = _add(mult, m)
+    return best, mult
+
+
+def program_min(p):
+    return _program_extremum(p, _atom_inf, min)
+
+
+def program_max(p):
+    return _program_extremum(p, _atom_sup, max)
+
+
+def _atom_rational(p):
+    if isinstance(p, ConstantGaps):
+        return (p.value,), (F(1),)
+    if isinstance(p, AffineGaps):
+        return (p.offset, p.slope), (F(1),)
+    if isinstance(p, ReciprocalGaps):
+        return (F(1),), (p.shift, F(1))
+    s = p.shift
+    return (F(1),), (s * (s + 1), 2 * s + 1, F(1))
+
+
+def _forall_le(f, fs, g, gs):
+    fn, fd = (_poly_shift(c, fs) for c in _atom_rational(f))
+    gn, gd = (_poly_shift(c, gs) for c in _atom_rational(g))
+    return _poly_nonneg_all(_poly_sub(_poly_mul(gn, fd), _poly_mul(fn, gd)))
+
+
+def program_monotone(p):
+    if isinstance(p, ExplicitGaps):
+        vs = p.values
+        return {
+            "nondecreasing": all(a <= b for a, b in zip(vs, vs[1:])),
+            "nonincreasing": all(a >= b for a, b in zip(vs, vs[1:])),
+            "strict": any(a != b for a, b in zip(vs, vs[1:])),
+        }
+    if isinstance(p, ConstantGaps) or (isinstance(p, AffineGaps) and p.slope == 0):
+        return {"nondecreasing": True, "nonincreasing": True, "strict": False}
+    if isinstance(p, AffineGaps):
+        return {"nondecreasing": True, "nonincreasing": False, "strict": True}
+    if isinstance(p, (ReciprocalGaps, TelescopingGaps)):
+        return {"nondecreasing": False, "nonincreasing": True, "strict": True}
+    atoms = p.atoms
+    pairs = [(atoms[j], 0, atoms[j + 1], 0) for j in range(len(atoms) - 1)]
+    pairs.append((atoms[-1], 0, atoms[0], 1))
+    up = [_forall_le(f, fs, g, gs) for f, fs, g, gs in pairs]
+    down = [_forall_le(g, gs, f, fs) for f, fs, g, gs in pairs]
+    nondec, noninc = all(ok for ok, _ in up), all(ok for ok, _ in down)
+    strict = (
+        (nondec and any(st for _, st in up))
+        or (noninc and any(st for _, st in down))
+        or (not nondec and not noninc)
+    )
+    return {"nondecreasing": nondec, "nonincreasing": noninc, "strict": strict}
+
+
+def finite_support(t):
+    if isinstance(t, ConstantGaps):
+        return {t.value}
+    if isinstance(t, AffineGaps) and t.slope == 0:
+        return {t.offset}
+    if isinstance(t, AlternatingGaps):
+        vals = set()
+        for a in t.atoms:
+            sup = finite_support(a)
+            if sup is None:
+                return None
+            vals |= sup
+        return vals
+    return None
+
+
+def _gap_indices(program, value):
+    """Indices n with gap(n) == value, for rules with finitely many hits
+    (the copy of the telescoping solve that the classifier carried)."""
+
+    def atom_index(p):
+        if isinstance(p, ConstantGaps):
+            return None
+        if isinstance(p, AffineGaps):
+            if p.slope == 0:
+                return None
+            n = (value - p.offset) / p.slope
+            return int(n) if n.denominator == 1 and n >= 1 else None
+        if isinstance(p, ReciprocalGaps):
+            if value <= 0:
+                return None
+            n = 1 / value - p.shift
+            return int(n) if n.denominator == 1 and n >= 1 else None
+        if value <= 0:
+            return None
+        target = 1 / value
+        if target.denominator != 1:
+            return None
+        t = target.numerator
+        k = (isqrt(4 * t + 1) - 1) // 2
+        for cand in (k, k + 1):
+            if cand * (cand + 1) == t:
+                n = F(cand) - p.shift
+                if n.denominator == 1 and n >= 1:
+                    return int(n)
+        return None
+
+    if isinstance(program, ExplicitGaps):
+        return tuple(i + 1 for i, g in enumerate(program.values) if g == value)
+    if isinstance(program, AlternatingGaps):
+        k = len(program.atoms)
+        out = []
+        for j, atom in enumerate(program.atoms):
+            n = atom_index(atom)
+            if n is not None:
+                out.append((n - 1) * k + j + 1)
+        return tuple(sorted(out))
+    n = atom_index(program)
+    return (n,) if n is not None else ()
+
+
+_coef = st.fractions(min_value=F(1, 12), max_value=F(9), max_denominator=12)
+_shift = st.fractions(min_value=F(-11, 12), max_value=F(6), max_denominator=12) | st.integers(0, 5).map(F)
+_atoms = st.one_of(
+    st.builds(ConstantGaps, _coef),
+    st.builds(lambda b: AffineGaps(F(0), b), _coef),
+    st.builds(lambda a, t: AffineGaps(a, t - a), _coef, _coef),  # offset of either sign
+    st.builds(ReciprocalGaps, _shift),
+    st.builds(TelescopingGaps, _shift),
+)
+_programs = st.one_of(
+    _atoms,
+    st.lists(_atoms, min_size=2, max_size=3).map(lambda atoms: AlternatingGaps(tuple(atoms))),
+    st.lists(_coef, min_size=1, max_size=6).map(lambda vs: ExplicitGaps(tuple(vs))),
+)
+
+
+@st.composite
+def _program_and_value(draw):
+    p = draw(_programs)
+    limit = len(p.values) if isinstance(p, ExplicitGaps) else 40
+    n = draw(st.integers(1, limit))
+    kind = draw(st.sampled_from(["hit", "near", "free", "nonpositive"]))
+    if kind == "hit":
+        value = p.gap(n)
+    elif kind == "near":
+        value = p.gap(n) + F(1, 7 * 10**6)
+    elif kind == "free":
+        value = draw(_coef)
+    else:
+        value = draw(st.sampled_from([F(0), -p.gap(n)]))
+    return p, n, value
+
+
+@given(_program_and_value())
+def test_rule_methods_agree_with_the_isinstance_ladders(case):
+    p, n, value = case
+    assert p.finite == program_is_finite(p)
+    assert p.partial(n) == program_partial(p, n)
+    assert p.count_of(value) == program_count_of(p, value)
+    assert p.minimum() == program_min(p)
+    assert p.maximum() == program_max(p)
+    assert p.monotone() == program_monotone(p)
+    if p.count_of(value) != INFINITE:  # the classifier's solve covers finitely many hits
+        assert p.indices_of(value) == _gap_indices(p, value)
+    if p.finite:
+        assert p.total == sum(p.values, F(0))
+        return
+    assert p.converges == program_converges(p)
+    assert p.total == (program_total(p) if p.converges else POS_INF)
+    assert p.closed_sums == (program_partial(p, 1) is not None)
+    assert p.support == finite_support(p)
+    if not isinstance(p, AlternatingGaps):
+        assert p.rational == _atom_rational(p)
+        # each atom states its trend; the Sturm sign test of gap(m) <= gap(m+1) agrees
+        assert p.monotone()["nondecreasing"] == _forall_le(p, 0, p, 1)[0]
+        offset = p.partial(n)
+        if offset is not None:
+            assert p.partial_floor(offset) == _inverse_partial_floor(p, offset) == n
+            assert p.partial_floor(offset - p.gap(n) / 2) == _inverse_partial_floor(p, offset - p.gap(n) / 2)
+
+
+# -------------------------------------------------------------------
 # Gap-index inversion: closed forms against the bisection they replaced
 # -------------------------------------------------------------------
 
@@ -484,16 +814,18 @@ def test_closed_form_inversion_matches_bisection(case):
 
     p, offset, strict = case
     calls = []
+    rule = type(p)
+    partial = rule.partial
 
-    def counting_partial(prog, n):
+    def counting_partial(self, n):
         calls.append(n)
-        return program_partial(prog, n)
+        return partial(self, n)
 
-    space_module.program_partial = counting_partial
+    rule.partial = counting_partial
     try:
         got = space_module._max_n_with_sum_below(p, offset, strict)
     finally:
-        space_module.program_partial = program_partial
+        rule.partial = partial
     assert got == _bisection_max_n(p, offset, strict)
     # one exact partial sum settles the closed form, however large the
     # offset or the answer is
