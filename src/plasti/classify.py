@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import nsmallest
 from typing import Optional
 
 from .errors import MetadataUnvalidated, PlastiError
@@ -503,19 +504,14 @@ def falsification_family(
     except PlastiError:
         mat = None
     if mat is not None:
-        # Reflect about midpoints of the widest adjacent gaps first; those
-        # are the plausible symmetry axes.
-        pairs = sorted(
-            zip(mat.points, mat.points[1:]), key=lambda ab: (ab[0] - ab[1], ab[0])
+        # Reflect about midpoints of the widest adjacent gaps; those are the
+        # plausible symmetry axes. Adjacent pairs have distinct midpoints.
+        widest = nsmallest(
+            MAX_REFLECTION_CENTERS,
+            zip(mat.points, mat.points[1:]),
+            key=lambda ab: (ab[0] - ab[1], ab[0]),
         )
-        centers = []
-        for a, b in pairs:
-            c = (a + b) / 2
-            if c not in centers:
-                centers.append(c)
-            if len(centers) >= MAX_REFLECTION_CENTERS:
-                break
-        for c in sorted(centers):
+        for c in sorted((a + b) / 2 for a, b in widest):
             candidates.append((f"reflect@{format_scalar(c)}", _reflection_map(c)))
     b = is_bounded(space)
     for info in (b.below, b.above):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import merge
 from itertools import combinations
 from typing import Optional, Union
 
@@ -40,6 +41,7 @@ from .space import (
     Window,
     component_contains,
     contains,
+    in_sorted,
     intervals_near,
     is_bounded,
     materialize,
@@ -150,7 +152,37 @@ def resolve(desc: MapDescription) -> MapDescription:
 # ===================================================================
 
 
-def _clause_applies(clause: Clause, space: SubspaceDescription, x: Scalar, cap: int) -> bool:
+def _member(
+    space: SubspaceDescription,
+    x: Scalar,
+    cap: int,
+    mat: Optional[Materialization],
+    component: Optional[int] = None,
+) -> bool:
+    """Membership of x in the space, or in one component: the window
+    materialization answers where it is exact, ``contains`` elsewhere."""
+    known = None if mat is None else mat.member(x, component)
+    if known is not None:
+        return known
+    if component is None:
+        return contains(space, x, cap)
+    return component_contains(space.components[component], x, cap)
+
+
+def _shift_scope(clause: IndexShift, space: SubspaceDescription) -> Optional[int]:
+    """The component index an index shift walks, or None for the whole space."""
+    if clause.component == ALL_COMPONENTS:
+        return None
+    if not 0 <= clause.component < len(space.components):
+        raise MapError(
+            f"index shift names component {clause.component}, space has {len(space.components)}"
+        )
+    return clause.component
+
+
+def _clause_applies(
+    clause: Clause, space: SubspaceDescription, x: Scalar, cap: int, mat: Optional[Materialization]
+) -> bool:
     if isinstance(clause, Table):
         return any(k == x for k, _ in clause.entries)
     if isinstance(clause, AffinePiece):
@@ -158,26 +190,27 @@ def _clause_applies(clause: Clause, space: SubspaceDescription, x: Scalar, cap: 
     if isinstance(clause, IndexShift):
         if clause.restriction is not None and not clause.restriction.contains(x):
             return False
-        if clause.component == ALL_COMPONENTS:
-            return contains(space, x, cap)
-        if not 0 <= clause.component < len(space.components):
-            raise MapError(
-                f"index shift names component {clause.component}, space has {len(space.components)}"
-            )
-        return component_contains(space.components[clause.component], x, cap)
+        return _member(space, x, cap, mat, _shift_scope(clause, space))
     raise MapError(f"unknown clause {clause!r}")
 
 
-def _apply_clause(clause: Clause, space: SubspaceDescription, x: Scalar, cap: int) -> Scalar:
+def _apply_clause(
+    clause: Clause, space: SubspaceDescription, x: Scalar, cap: int, mat: Optional[Materialization]
+) -> Scalar:
     if isinstance(clause, Table):
         return clause.lookup(x)
     if isinstance(clause, AffinePiece):
         return clause.apply(x)
     if isinstance(clause, IndexShift):
-        if clause.component == ALL_COMPONENTS:
+        component = _shift_scope(clause, space)
+        if mat is not None:
+            target = mat.shift(component, x, clause.steps)
+            if target is not None:
+                return target
+        if component is None:
             scope = space
         else:
-            scope = SubspaceDescription((space.components[clause.component],))
+            scope = SubspaceDescription((space.components[component],))
         pos = x
         step = successor if clause.steps > 0 else predecessor
         for _ in range(abs(clause.steps)):
@@ -191,8 +224,10 @@ def _apply_clause(clause: Clause, space: SubspaceDescription, x: Scalar, cap: in
     raise MapError(f"unknown clause {clause!r}")
 
 
-def _claiming_clause(desc: MapDescription, space, x: Scalar, cap: int) -> Clause:
-    applying = [c for c in desc.clauses if _clause_applies(c, space, x, cap)]
+def _claiming_clause(
+    desc: MapDescription, space, x: Scalar, cap: int, mat: Optional[Materialization]
+) -> Clause:
+    applying = [c for c in desc.clauses if _clause_applies(c, space, x, cap, mat)]
     if not applying:
         raise NoPieceApplies(f"no clause claims {format_scalar(x)}")
     if len(applying) > 1:
@@ -210,9 +245,16 @@ def eval_map(
     return _eval_member(desc, space, x, cap)
 
 
-def _eval_member(desc: MapDescription, space: SubspaceDescription, x: Scalar, cap: int) -> Scalar:
-    """eval_map for a resolved map at an x already known to be a member."""
-    return _apply_clause(_claiming_clause(desc, space, x, cap), space, x, cap)
+def _eval_member(
+    desc: MapDescription,
+    space: SubspaceDescription,
+    x: Scalar,
+    cap: int,
+    mat: Optional[Materialization] = None,
+) -> Scalar:
+    """eval_map for a resolved map at an x already known to be a member;
+    a window materialization, when given, answers index facts it decides."""
+    return _apply_clause(_claiming_clause(desc, space, x, cap, mat), space, x, cap, mat)
 
 
 def orbit(
@@ -359,12 +401,12 @@ def _collect_samples(
             kept.append(pts[-1])
         pts = kept
         subsampled = True
-    member_xs = set(pts)
+    extra_xs = set()  # members besides the materialized points: table keys, cut points
     for clause in desc.clauses:
         if isinstance(clause, Table):
             for k, _ in clause.entries:
-                if window.contains(k) and contains(space, k, cap):
-                    member_xs.add(k)
+                if window.contains(k) and _member(space, k, cap, mat):
+                    extra_xs.add(k)
 
     spans = []
     limit_samples = []
@@ -400,16 +442,17 @@ def _collect_samples(
             cuts.update((s.lo, s.hi))
         for x in sorted(cuts):
             if ivl.contains(x):
-                member_xs.add(x)  # fragments are subsets of the space
+                extra_xs.add(x)  # fragments are subsets of the space
             for s in frag_spans:
                 if x in (s.lo, s.hi):
                     limit_samples.append(Sample(x, s.piece.apply(x), False, s))
         spans.extend(frag_spans)
 
-    # materialized points, table keys that passed `contains` and fragment
-    # points are all members, so they skip eval_map's membership test
+    # materialized points, table keys that are members and fragment points
+    # are all members, so they skip eval_map's membership test
+    extra_xs = sorted(x for x in extra_xs if not in_sorted(pts, x))
     point_samples = tuple(
-        Sample(x, _eval_member(desc, space, x, cap), True) for x in sorted(member_xs)
+        Sample(x, _eval_member(desc, space, x, cap, mat), True) for x in merge(pts, extra_xs)
     )
     # A member cut point whose true image equals the piece limit makes the
     # duplicate limit sample redundant; keep limits only when they differ.
@@ -490,15 +533,16 @@ def check_endomorphism(
     """Do all window members land back in the space?
 
     Points are checked directly. An affine piece maps each fragment stretch
-    onto an interval; that image must sit inside a single component, which
-    covers every interior point at once.
+    onto an interval, whose interior must lie in the space; a value of it
+    outside the space, pulled back through the piece, is the witness.
     """
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
+    mat = ws.materialization
     notes = _base_notes(ws)
     scope = _scope(window)
     for s in ws.point_samples:
-        if not contains(space, s.value, cap):
+        if not _member(space, s.value, cap, mat):
             return CheckReport(
                 "endomorphism",
                 False,
@@ -510,7 +554,7 @@ def check_endomorphism(
         va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
         image_lo, image_hi = min(va, vb), max(va, vb)
         if image_lo == image_hi:
-            if not contains(space, image_lo, cap):
+            if not _member(space, image_lo, cap, mat):
                 q, _ = span.inner_pair()
                 return CheckReport(
                     "endomorphism",
@@ -520,26 +564,60 @@ def check_endomorphism(
                     tuple(notes),
                 )
             continue
-        if not _interval_inside_space(space, Interval.open(image_lo, image_hi)):
-            q, m = span.inner_pair()
-            bad = q if not contains(space, span.piece.apply(q), cap) else m
+        y = _value_outside(space, image_lo, image_hi, cap)
+        if y is not None:
+            bad = (y - span.piece.intercept) / span.piece.slope
             return CheckReport(
                 "endomorphism",
                 False,
                 scope,
-                Witness((bad,), (span.piece.apply(bad),), "piece image leaves the space"),
+                Witness((bad,), (y,), "piece image leaves the space"),
                 tuple(notes),
             )
     return CheckReport("endomorphism", True, scope, None, tuple(notes))
 
 
-def _interval_inside_space(space: SubspaceDescription, interval: Interval) -> bool:
-    """Exact test: does some single interval component contain the open stretch?"""
-    return any(
-        ivl.contains_interval(interval)
-        for comp in space.components
-        for ivl in intervals_near(comp, interval.lo.value)
-    )
+def _value_outside(
+    space: SubspaceDescription, lo: Scalar, hi: Scalar, cap: int
+) -> Optional[Scalar]:
+    """A value of the open stretch (lo, hi) that is not a member, or None
+    when the members cover it.
+
+    Sweeps the interval pieces of the space upward from lo. The first
+    value they leave uncovered is a piece end or a stretch between pieces;
+    a discrete member there moves the sweep on.
+    """
+    y = lo
+    while y < hi:
+        pieces = [ivl for comp in space.components for ivl in intervals_near(comp, y)]
+        if y > lo and not any(ivl.contains(y) for ivl in pieces) and not contains(space, y, cap):
+            return y
+        ahead = [ivl.hi.value for ivl in pieces if ivl.lo.value <= y < ivl.hi.value]
+        if ahead:
+            y = max(ahead)  # covered up to there
+            continue
+        end = min([ivl.lo.value for ivl in pieces if y < ivl.lo.value < hi], default=hi)
+        found = _value_between_points(space, y, end, cap)
+        if found is not None:
+            return found
+        y = end
+    return None
+
+
+def _value_between_points(
+    space: SubspaceDescription, lo: Scalar, hi: Scalar, cap: int
+) -> Optional[Scalar]:
+    """A non-member of the open stretch (lo, hi), which no interval piece
+    meets: its middle, or else the middle of two adjacent members in it."""
+    mid = (lo + hi) / 2
+    if not contains(space, mid, cap):
+        return mid
+    mat = materialize(space, Window(lo, hi), cap)
+    known = [lo, *(p for p in mat.points if lo < p < hi), hi]
+    for a, b in zip(known, known[1:]):
+        if not any(z.lo.value < b and a < z.hi.value for z in mat.truncation_zones):
+            return (a + b) / 2
+    return None
 
 
 def _moves_apart(a: Sample, b: Sample) -> bool:
@@ -705,6 +783,7 @@ def check_bijection(
     """
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
+    mat = ws.materialization
     notes = _base_notes(ws)
     scope = _scope(window)
     for span in ws.spans:
@@ -761,7 +840,7 @@ def check_bijection(
         # no inverse clause claims is a member the image misses.
         inv_ws = collect_samples(inv, space, window, cap)
         for s in ws.point_samples:
-            if not contains(space, s.value, cap):
+            if not _member(space, s.value, cap, mat):
                 return CheckReport(
                     "bijection",
                     False,
@@ -769,7 +848,7 @@ def check_bijection(
                     Witness((s.x,), (s.value,), "image leaves the space, cannot be onto"),
                     tuple(notes),
                 )
-            back = _eval_member(inv, space, s.value, cap)
+            back = _eval_member(inv, space, s.value, cap, mat)
             if back != s.x:
                 return CheckReport(
                     "bijection",
@@ -779,7 +858,7 @@ def check_bijection(
                     tuple(notes),
                 )
         for s in inv_ws.point_samples:
-            if not contains(space, s.value, cap):
+            if not _member(space, s.value, cap, mat):
                 return CheckReport(
                     "bijection",
                     False,
@@ -787,7 +866,7 @@ def check_bijection(
                     Witness((s.x,), (s.value,), "declared inverse leaves the space"),
                     tuple(notes),
                 )
-            if _eval_member(desc, space, s.value, cap) != s.x:
+            if _eval_member(desc, space, s.value, cap, mat) != s.x:
                 return CheckReport(
                     "bijection",
                     False,

@@ -311,6 +311,13 @@ class ConstantGaps(_Atom):
     def partial_floor(self, offset: Scalar) -> int:
         return offset // self.value
 
+    def side_points(self, anchor: Scalar, sign: int, first: int, last: int) -> list:
+        """anchor + sign*S(n) for first <= n <= last, in integer arithmetic."""
+        a, b = anchor.numerator, anchor.denominator
+        p, q = self.value.numerator, self.value.denominator
+        base, step, den = a * q, sign * p * b, b * q
+        return [Fraction(base + step * n, den) for n in range(first, last + 1)]
+
     def indices_of(self, v: Scalar) -> tuple:
         """The indices with gap v; a constant stream lists only the first."""
         return (1,) if v == self.value else ()
@@ -357,6 +364,19 @@ class AffineGaps(_Atom):
         scale = a.denominator * b.denominator * c.denominator
         a, b, c = int(a * scale), int(b * scale), int(c * scale)
         return (isqrt(b * b + 4 * a * c) - b) // (2 * a)
+
+    def side_points(self, anchor: Scalar, sign: int, first: int, last: int) -> list:
+        """anchor + sign*S(n) for first <= n <= last, in integer arithmetic:
+        S(n) = (sp*oq*n(n+1) + 2*op*sq*n) / (2*sq*oq) for slope sp/sq and
+        offset op/oq."""
+        a, b = anchor.numerator, anchor.denominator
+        sp, sq = self.slope.numerator, self.slope.denominator
+        op, oq = self.offset.numerator, self.offset.denominator
+        den = 2 * sq * oq
+        base, quad, lin = a * den, sign * b * sp * oq, sign * b * 2 * op * sq
+        return [
+            Fraction(base + quad * n * (n + 1) + lin * n, b * den) for n in range(first, last + 1)
+        ]
 
     def indices_of(self, v: Scalar) -> tuple:
         """The indices with gap v; a constant stream lists only the first."""
@@ -437,6 +457,17 @@ class TelescopingGaps(_Atom):
         if rest <= 0:
             raise SpaceError(f"offset {format_scalar(offset)} reaches the limit of {self}")
         return (ONE / rest - self.shift - 1).__floor__()
+
+    def side_points(self, anchor: Scalar, sign: int, first: int, last: int) -> list:
+        """anchor + sign*S(n) for first <= n <= last, in integer arithmetic:
+        the point is limit - sign*sd/e with e = n*sd + sn + sd for the limit
+        anchor + sign/(s+1) and shift s = sn/sd."""
+        limit = anchor + sign * self.total
+        ln, ld = limit.numerator, limit.denominator
+        sn, sd = self.shift.numerator, self.shift.denominator
+        c = sign * sd * ld
+        start, stop = first * sd + sn + sd, last * sd + sn + sd
+        return [Fraction(ln * e - c, ld * e) for e in range(start, stop + 1, sd)]
 
     def indices_of(self, v: Scalar) -> tuple:
         # k(k+1) = 1/v with k = n + shift > 0; isqrt finds the one candidate
@@ -1162,11 +1193,30 @@ class Fragment:
     hi_artificial: bool = False
 
 
+def in_sorted(values, x) -> bool:
+    """Whether x is an entry of the ascending sequence ``values``."""
+    i = bisect.bisect_left(values, x)
+    return i < len(values) and values[i] == x
+
+
 @dataclass(frozen=True)
 class Materialization:
+    """The points and clipped fragments of a space inside a window.
+
+    ``component_points`` holds, per component of the description and in
+    its order, the sorted points of a discrete component and None for an
+    interval kind. Inside the window and outside every truncation zone the
+    materialization is exact: a value there is a member exactly when it is
+    a point or lies in a fragment, and two neighbours in a component's
+    points, or in ``points`` when no component is an interval kind, are
+    adjacent members when no zone lies between them. ``member`` and
+    ``shift`` answer from it there and return None elsewhere.
+    """
+
     window: Window
     points: tuple  # sorted Scalars
     fragments: tuple  # sorted Fragments
+    component_points: tuple  # per component: sorted Scalars, or None
     truncated_near: tuple = ()  # accumulation values where the cap hit
     truncation_zones: tuple = ()  # open intervals the enumeration left uncovered
 
@@ -1178,9 +1228,49 @@ class Materialization:
     def empty(self) -> bool:
         return not self.points and not self.fragments
 
+    def _exact_at(self, x: Scalar) -> bool:
+        return self.window.contains(x) and not any(z.contains(x) for z in self.truncation_zones)
+
+    def member(self, x: Scalar, component: Optional[int] = None) -> Optional[bool]:
+        """Whether x is a member of the space, or of one of its components;
+        None when the materialization does not decide it."""
+        if not self._exact_at(x):
+            return None
+        if component is not None:
+            points = self.component_points[component]
+            return None if points is None else in_sorted(points, x)
+        if in_sorted(self.points, x):
+            return True
+        i = bisect.bisect_right(self.fragments, x, key=lambda f: f.interval.lo.value)
+        # fragments are disjoint, but one with an open end at x may follow
+        # one with a closed end there
+        return any(f.interval.contains(x) for f in self.fragments[max(i - 2, 0) : i])
+
+    def shift(self, component: Optional[int], x: Scalar, steps: int) -> Optional[Scalar]:
+        """The member ``steps`` places from the member x in adjacency order,
+        within one component or the whole space (component None); None when
+        the materialization does not decide it: x is not a point, the target
+        leaves the tuple, a truncation zone lies between, or the scope has
+        interval kinds, where adjacency is undefined."""
+        if component is None:
+            points = None if None in self.component_points else self.points
+        else:
+            points = self.component_points[component]
+        if points is None:
+            return None
+        i = bisect.bisect_left(points, x)
+        if i == len(points) or points[i] != x or not 0 <= i + steps < len(points):
+            return None
+        y = points[i + steps]
+        lo, hi = min(x, y), max(x, y)
+        if any(z.lo.value < hi and lo < z.hi.value for z in self.truncation_zones):
+            return None
+        return y
+
 
 def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
-    """(points, truncated_near, truncation_zones) for a discrete component."""
+    """(points, truncated_near, truncation_zones) for a discrete component,
+    with the points ascending."""
     lo, hi = window.lo, window.hi
     if isinstance(comp, FinitePoints):
         return tuple(p for p in comp.points if lo <= p <= hi), (), ()
@@ -1200,13 +1290,11 @@ def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
             )
         return tuple(a + k * s for k in range(k_lo, k_hi + 1)), (), ()
     if isinstance(comp, GapSequence):
-        points = []
         truncated = []
         zones = []
-        if lo <= comp.anchor <= hi:
-            points.append(comp.anchor)
 
-        def walk(program: Optional[GapProgram], sign: int):
+        def walk(program: Optional[GapProgram], sign: int, points: list):
+            """Append the side's window points to ``points``, outward."""
             if program is None:
                 return
             edge = hi if sign > 0 else lo
@@ -1223,14 +1311,29 @@ def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
                 return  # the whole side sits below the window
             if convergent and sign < 0 and limit >= hi:
                 return  # the whole side sits above the window
-            for n in range(1, cap + 1):
-                pos = pos + sign * program.gap(n)
-                if sign > 0 and pos > hi:
+            if isinstance(program, _Atom) and program.closed_sums:
+                # the side's members in the window are those with near <= S(n) <= far
+                near = sign * ((lo if sign > 0 else hi) - comp.anchor)
+                far = sign * (edge - comp.anchor)
+                first = _max_n_with_sum_below(program, near, strict=True) + 1
+                if convergent and far >= program.total:
+                    last = cap  # every later point stays in the window
+                else:
+                    last = _max_n_with_sum_below(program, far, strict=False)
+                points.extend(program.side_points(comp.anchor, sign, first, min(last, cap)))
+                if last < cap:
                     return
-                if sign < 0 and pos < lo:
-                    return
-                if lo <= pos <= hi:
-                    points.append(pos)
+                pos = comp.anchor + sign * program.partial(cap)
+            else:
+                for n in range(1, cap + 1):
+                    pos = pos + sign * program.gap(n)
+                    if sign > 0 and pos > hi:
+                        return
+                    if sign < 0 and pos < lo:
+                        return
+                    if lo <= pos <= hi:
+                        points.append(pos)
+            # cap steps did not leave the window
             if convergent:
                 truncated.append(limit)
                 # the stretch between the limit and the last stop is uncovered
@@ -1240,9 +1343,14 @@ def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
                 f"gap rule {program} did not reach the edge {format_scalar(edge)} in {cap} steps"
             )
 
-        walk(comp.right, +1)
-        walk(comp.left, -1)
-        return tuple(points), tuple(truncated), tuple(zones)
+        right: list = []
+        left: list = []
+        walk(comp.right, +1, right)
+        walk(comp.left, -1, left)
+        left.reverse()
+        if lo <= comp.anchor <= hi:
+            left.append(comp.anchor)
+        return tuple(left + right), tuple(truncated), tuple(zones)
     raise SpaceError(f"not a discrete component: {comp!r}")
 
 
@@ -1308,13 +1416,16 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
     fragments: list = []
     truncated: list = []
     zones: list = []
+    per_component: list = []
     for comp in space.components:
         if isinstance(comp, _DISCRETE_KINDS):
             pts, trunc, zs = _materialize_points(comp, window, cap)
+            per_component.append(pts)
             points.extend(pts)
             truncated.extend(trunc)
             zones.extend(zs)
         else:
+            per_component.append(None)
             frags = _materialize_fragments(comp, window, cap)
             for frag in frags:
                 if frag.interval.degenerate:
@@ -1337,6 +1448,7 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
         window=window,
         points=tuple(points),
         fragments=tuple(fragments),
+        component_points=tuple(per_component),
         truncated_near=tuple(sorted(set(truncated))),
         truncation_zones=tuple(sorted(zones, key=lambda z: z.lo.value)),
     )

@@ -14,7 +14,9 @@ from plasti.classify import (
     NOT_PLASTIC,
     PLASTIC,
     UNKNOWN,
+    MAX_REFLECTION_CENTERS,
     classify,
+    falsification_family,
     run_falsifications,
     verify_witness,
 )
@@ -252,6 +254,21 @@ def test_falsification_family_names_its_candidates():
     assert any(n.startswith("reflect@") for n in names)
     shifts = [a for a in attempts if a.name.startswith("shift")]
     assert all(a.outcome == "isometry" for a in shifts)
+
+
+def test_reflection_centres_are_the_widest_gaps_then_the_leftmost():
+    # gaps of 1 on 0..15, then gaps of 2 up to 21: the three width-2 gaps
+    # come first, and the tie among the width-1 gaps goes to the leftmost
+    points = tuple(F(k) for k in range(16)) + (F(17), F(19), F(21))
+    space = SubspaceDescription(components=(FinitePoints(points),))
+    names = [n for n, _ in falsification_family(space, Window(F(0), F(21)), 100)]
+    reflections = [n for n in names if n.startswith("reflect@")]
+    assert len(reflections) == MAX_REFLECTION_CENTERS == 12
+    assert reflections == [f"reflect@{2 * k + 1}/2" for k in range(9)] + [
+        "reflect@16",
+        "reflect@18",
+        "reflect@20",
+    ]
 
 
 def test_glue_probe_dies_on_open_intervals():

@@ -48,6 +48,7 @@ from plasti.space import (
     SubspaceDescription,
     TelescopingGaps,
     Window,
+    contains,
 )
 
 W = Window(F(-10), F(10))
@@ -196,6 +197,69 @@ def test_endomorphism_detects_escaping_image():
     report = check_endomorphism(escape, space, W)
     assert not report.passed
     assert report.witness is not None
+
+
+def _escape_report(space, piece: AffinePiece, window: Window):
+    """The endomorphism report of a map that is the identity off the piece."""
+    rest = [
+        affine(ivl, 1, 0)
+        for comp in space.components
+        if isinstance(comp, IntervalList)
+        for ivl in comp.intervals
+        if ivl != piece.domain
+    ]
+    fixed = [
+        (p, p) for comp in space.components if isinstance(comp, FinitePoints) for p in comp.points
+    ]
+    if fixed:
+        rest.append(Table(tuple(fixed)))
+    return check_endomorphism(MapDescription(clauses=(piece, *rest)), space, window)
+
+
+def test_endomorphism_witness_image_falls_outside_the_space():
+    # x -> 8x - 3/2 sends (0,1) onto (-3/2, 13/2); the images of the
+    # interior probes 1/4 and 1/2 (1/2 and 5/2) are both members
+    space = SubspaceDescription(
+        components=(IntervalList((Interval.open(F(0), F(1)), Interval.open(F(2), F(3)))),)
+    )
+    piece = affine(Interval.open(F(0), F(1)), 8, F(-3, 2))
+    report = _escape_report(space, piece, Window(F(-1), F(4)))
+    assert not report.passed
+    (x,), (y,) = report.witness.points, report.witness.images
+    assert contains(space, x) and not contains(space, y)
+    assert piece.apply(x) == y
+
+
+def test_endomorphism_witness_steps_past_a_point_in_a_gap():
+    # the image (1,2) crosses the gap between the intervals, whose middle
+    # 3/2 is an isolated member: the witness lands between 1 and 3/2
+    space = SubspaceDescription(
+        components=(
+            IntervalList((Interval.open(F(0), F(1)), Interval.open(F(2), F(3)))),
+            FinitePoints((F(3, 2),)),
+        )
+    )
+    piece = affine(Interval.open(F(0), F(1)), 1, 1)
+    report = _escape_report(space, piece, Window(F(-1), F(4)))
+    assert report.witness.render() == "piece image leaves the space (1/4 -> 5/4)"
+
+
+def test_endomorphism_passes_an_image_covered_by_touching_pieces():
+    # (0,1] and (1,2) together cover the image (1/2, 3/2]
+    space = SubspaceDescription(
+        components=(IntervalList((Interval.right_closed(F(0), F(1)), Interval.open(F(1), F(2)))),)
+    )
+    piece = affine(Interval.right_closed(F(0), F(1)), 1, F(1, 2))
+    assert _escape_report(space, piece, Window(F(0), F(2))).passed
+    # so do (0,1), the point 1 and (1,2)
+    piece = affine(Interval.open(F(0), F(1)), 1, F(1, 2))
+    space = SubspaceDescription(
+        components=(
+            IntervalList((Interval.open(F(0), F(1)), Interval.open(F(1), F(2)))),
+            FinitePoints((F(1),)),
+        )
+    )
+    assert _escape_report(space, piece, Window(F(0), F(2))).passed
 
 
 def test_nonexpansive_pass_and_fail():

@@ -1,0 +1,315 @@
+"""The window index: what a materialization answers by itself.
+
+A materialization builds closed-sum sides (const, affine, recipdiff) from
+the index range of their partial sums, decides membership inside its
+window and outside its truncation zones, and answers index shifts by
+stepping along its sorted points. Each is compared here with the path it
+replaces: the per-step walk (kept below as the reference), ``contains``,
+and ``successor``/``predecessor``.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from plasti.errors import NotDiscrete, PlastiError, RuleDivergence
+from plasti.maps import IndexShift, MapDescription, _clause_applies, _eval_member
+from plasti.scalar import format_scalar
+from plasti.space import (
+    AffineGaps,
+    AlternatingGaps,
+    ArithmeticProgression,
+    ConstantGaps,
+    ExplicitGaps,
+    FinitePoints,
+    GapSequence,
+    Interval,
+    IntervalList,
+    ReciprocalGaps,
+    SubspaceDescription,
+    TelescopingGaps,
+    Window,
+    _materialize_points,
+    component_contains,
+    contains,
+    materialize,
+)
+
+
+def walked_side_points(comp: GapSequence, window: Window, cap: int) -> tuple:
+    """(points, truncated_near, truncation_zones) of a gap sequence by the
+    per-step walk, every side stepped gap by gap; points ascending."""
+    lo, hi = window.lo, window.hi
+    points, truncated, zones = [], [], []
+    if lo <= comp.anchor <= hi:
+        points.append(comp.anchor)
+
+    def walk(program, sign):
+        if program is None:
+            return
+        edge = hi if sign > 0 else lo
+        pos = comp.anchor
+        if program.finite:
+            for g in program.values:
+                pos = pos + sign * g
+                if lo <= pos <= hi:
+                    points.append(pos)
+            return
+        convergent = program.converges
+        limit = comp.anchor + sign * program.total if convergent else None
+        if convergent and sign > 0 and limit <= lo:
+            return
+        if convergent and sign < 0 and limit >= hi:
+            return
+        for n in range(1, cap + 1):
+            pos = pos + sign * program.gap(n)
+            if sign > 0 and pos > hi:
+                return
+            if sign < 0 and pos < lo:
+                return
+            if lo <= pos <= hi:
+                points.append(pos)
+        if convergent:
+            truncated.append(limit)
+            zones.append(Interval.open(limit, pos) if sign < 0 else Interval.open(pos, limit))
+            return
+        raise RuleDivergence(
+            f"gap rule {program} did not reach the edge {format_scalar(edge)} in {cap} steps"
+        )
+
+    walk(comp.right, +1)
+    walk(comp.left, -1)
+    return tuple(sorted(points)), tuple(truncated), tuple(zones)
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and text of the plasti error it raised."""
+    try:
+        return ("value", fn(*args))
+    except PlastiError as err:
+        return (type(err).__name__, str(err))
+
+
+positive = st.fractions(min_value=F(1, 5), max_value=3, max_denominator=6)
+offsets = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def closed_sum_rules(draw):
+    kind = draw(st.sampled_from(["const", "affine0", "affine", "recipdiff"]))
+    if kind == "const":
+        return ConstantGaps(draw(positive))
+    if kind == "affine0":
+        return AffineGaps(F(0), draw(positive))
+    if kind == "affine":
+        slope = draw(positive)
+        offset = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+        return AffineGaps(slope, max(offset, F(1, 4) - slope))  # positive at n = 1
+    return TelescopingGaps(draw(st.fractions(min_value=F(-4, 5), max_value=4, max_denominator=7)))
+
+
+@st.composite
+def windows_near(draw, anchor):
+    lo = anchor + draw(offsets)
+    return Window(lo, lo + draw(st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6)))
+
+
+@st.composite
+def closed_sum_cases(draw):
+    anchor = draw(offsets)
+    left = draw(st.none() | closed_sum_rules())
+    right = draw(closed_sum_rules()) if left is None else draw(st.none() | closed_sum_rules())
+    window, cap = draw(windows_near(anchor)), draw(st.integers(1, 40))
+    return GapSequence(anchor, left=left, right=right), window, cap
+
+
+CONST_1 = GapSequence(F(0), right=ConstantGaps(F(1)))
+TAIL = GapSequence(F(1, 2), left=TelescopingGaps(F(3)))  # 1/4 + 1/(n+4) down to 1/4
+WITH_TAIL = SubspaceDescription((ArithmeticProgression(F(0), F(1), "right"), TAIL))
+TWO_SIDED = SubspaceDescription(
+    (GapSequence(F(0), left=TelescopingGaps(F(0)), right=ConstantGaps(F(1, 2))),)
+)
+
+
+@given(closed_sum_cases())
+@example((CONST_1, Window(F(-1), F(5)), 5))  # the cap-th point is the edge: the cap hits
+@example((CONST_1, Window(F(-1), F(5)), 6))  # one more step leaves the window
+@example((CONST_1, Window(F(2), F(5)), 2))  # the cap hits before the window
+@example((TAIL, Window(F(0), F(10)), 30))  # truncated at the limit 1/4
+@example((TAIL, Window(F(1, 4), F(1, 3)), 30))  # the limit is the window edge
+@example((TAIL, Window(F(1, 3), F(1)), 8))  # the walk leaves at the lower edge
+@example((TAIL, Window(F(1, 3), F(1)), 9))  # the cap hits at the lower edge
+@example((GapSequence(F(0), right=TelescopingGaps(F(1, 2))), Window(F(1, 2), F(1)), 20))
+@example((GapSequence(F(0), left=AffineGaps(F(1, 2), F(-1, 4))), Window(F(-7), F(-1)), 40))
+def test_closed_sum_sides_match_the_walk(case):
+    comp, window, cap = case
+    assert outcome(_materialize_points, comp, window, cap) == outcome(
+        walked_side_points, comp, window, cap
+    )
+
+
+def test_a_far_window_is_reached_without_walking_to_it():
+    # S(n) = n(n+1)/2 reaches 10^12 near n = 1.4 million, a walk of as
+    # many steps; the window holds the partial sums with n from 1414214
+    rule = AffineGaps(F(1), F(0))
+    window = Window(F(10**12), F(10**12 + 3 * 10**6))
+    points, truncated, zones = _materialize_points(GapSequence(F(0), right=rule), window, 10**7)
+    assert points == (rule.partial(1414214), rule.partial(1414215))
+    assert not truncated and not zones
+
+
+# -------------------------------------------------------------------
+# Membership and index shifts on whole spaces
+# -------------------------------------------------------------------
+
+
+@st.composite
+def any_rules(draw):
+    kind = draw(st.sampled_from(["closed", "recip", "alt", "explicit"]))
+    if kind == "closed":
+        return draw(closed_sum_rules())
+    if kind == "recip":
+        shift = draw(st.fractions(min_value=F(-1, 2), max_value=2, max_denominator=3))
+        return ReciprocalGaps(shift)
+    if kind == "alt":
+        return AlternatingGaps((draw(closed_sum_rules()), draw(closed_sum_rules())))
+    return ExplicitGaps(tuple(draw(st.lists(positive, min_size=1, max_size=4))))
+
+
+@st.composite
+def discrete_spaces(draw):
+    """A gap sequence or a progression, with a few isolated points that no
+    other component holds, on a window near its anchor and a small cap."""
+    anchor = draw(offsets)
+    if draw(st.booleans()):
+        left = draw(st.none() | any_rules())
+        right = draw(any_rules()) if left is None else draw(st.none() | any_rules())
+        base = GapSequence(anchor, left=left, right=right)
+    else:
+        direction = draw(st.sampled_from(["left", "right", "both"]))
+        base = ArithmeticProgression(anchor, draw(positive), direction)
+    window = draw(windows_near(anchor))
+    cap = draw(st.integers(1, 60))
+    components = [base]
+    near_window = st.fractions(min_value=-7, max_value=15, max_denominator=5).map(
+        lambda t: anchor + t
+    )
+    extra = sorted(set(draw(st.lists(near_window, max_size=3))))
+    try:
+        extra = [p for p in extra if not component_contains(base, p)]
+    except PlastiError:
+        extra = []
+    if extra:
+        components.append(FinitePoints(tuple(extra)))
+    return SubspaceDescription(tuple(components)), window, cap
+
+
+def materialized(space, window, cap):
+    try:
+        return materialize(space, window, cap)
+    except PlastiError:
+        return None  # nothing to index: divergence, overlap or an empty window
+
+
+def probes(mat):
+    """Members, their midpoints, zone insides, the window edges and
+    values just outside the window."""
+    xs = list(mat.points)
+    xs += [(a + b) / 2 for a, b in zip(mat.points, mat.points[1:])]
+    for z in mat.truncation_zones:
+        xs += [z.lo.value + (z.hi.value - z.lo.value) / k for k in (2, 3)]
+    w = mat.window
+    xs += [w.lo, w.hi, w.lo - F(1, 7), w.hi + F(1, 7)]
+    for f in mat.fragments:
+        lo, hi = f.interval.lo.value, f.interval.hi.value
+        xs += [lo, hi, (lo + hi) / 2]
+    return xs
+
+
+@given(discrete_spaces())
+@example((WITH_TAIL, Window(F(0), F(10)), 20))
+def test_materialized_membership_matches_contains(case):
+    space, window, cap = case
+    mat = materialized(space, window, cap)
+    if mat is None:
+        return
+    for x in probes(mat):
+        known = mat.member(x)
+        in_zone = any(z.contains(x) for z in mat.truncation_zones)
+        if window.contains(x) and not in_zone:
+            assert known is not None
+        if known is not None:
+            assert known == contains(space, x, cap)
+        for i, comp in enumerate(space.components):
+            known = mat.member(x, i)
+            if known is not None:
+                assert known == component_contains(comp, x, cap)
+
+
+def test_materialized_membership_on_interval_spaces():
+    # 1 closes the first interval and opens the second: both are looked at
+    ivls = (Interval.right_closed(F(0), F(1)), Interval.open(F(1), F(2)), Interval.point(F(3)))
+    space = SubspaceDescription((IntervalList(ivls), FinitePoints((F(5, 2), F(7)))))
+    mat = materialize(space, Window(F(-1), F(4)))
+    for x in (F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(9, 4), F(5, 2), F(3), F(4), F(7)):
+        expected = None if x == 7 else contains(space, x)
+        assert mat.member(x) == expected
+    assert mat.member(F(5, 2), 1) is True and mat.member(F(1, 2), 0) is None
+
+
+def shift_maps(space, steps, restriction=None):
+    scopes = ["*", *range(len(space.components))]
+    return [IndexShift(c, k, restriction) for c in scopes for k in steps]
+
+
+@given(discrete_spaces())
+@example((WITH_TAIL, Window(F(0), F(10)), 20))
+@example((SubspaceDescription((TAIL, FinitePoints((F(1, 8), F(3, 4))))), Window(F(0), F(1)), 12))
+@example((TWO_SIDED, Window(F(-1), F(2)), 6))
+def test_indexed_shifts_match_successor_and_predecessor(case):
+    space, window, cap = case
+    mat = materialized(space, window, cap)
+    if mat is None:
+        return
+    middle = Interval.open(window.lo + (window.hi - window.lo) / 3, window.hi)
+    clauses = shift_maps(space, (-3, -2, -1, 1, 2, 3)) + shift_maps(space, (1, -2), middle)
+    for clause in clauses:
+        desc = MapDescription(clauses=(clause,))
+        for x in mat.points:
+            applies = outcome(_clause_applies, clause, space, x, cap, mat)
+            assert applies == outcome(_clause_applies, clause, space, x, cap, None)
+            if applies == ("value", True):
+                assert outcome(_eval_member, desc, space, x, cap, mat) == outcome(
+                    _eval_member, desc, space, x, cap
+                )
+
+
+def test_a_shift_across_a_truncation_zone_falls_back():
+    # the tail piles up at 1/4 and is cut after 20 points: from 0 the next
+    # materialized point lies beyond the unenumerated stretch, and there is
+    # no smallest member above 0
+    space = WITH_TAIL
+    mat = materialize(space, Window(F(0), F(10)), 20)
+    (zone,) = mat.truncation_zones
+    assert mat.points[1] == zone.hi.value
+    assert mat.shift(None, F(0), 1) is None
+    assert mat.shift(None, mat.points[1], -1) is None
+    assert mat.shift(None, mat.points[1], 1) == mat.points[2]
+    assert mat.shift(1, mat.points[1], 1) == mat.points[2]
+    assert mat.shift(1, F(1, 2), 1) is None  # leaves the tuple: 1/2 is the tail's last point
+    desc = MapDescription(clauses=(IndexShift("*", 1),))
+    assert outcome(_eval_member, desc, space, F(0), 20, mat)[0] == "NoAdjacentPoint"
+
+
+def test_shifts_on_interval_scopes_still_raise_not_discrete():
+    space = SubspaceDescription(
+        (FinitePoints((F(0), F(1))), IntervalList((Interval.open(F(2), F(3)),)))
+    )
+    mat = materialize(space, Window(F(-1), F(4)))
+    assert mat.shift(None, F(0), 1) is None and mat.shift(1, F(0), 1) is None
+    assert mat.shift(0, F(0), 1) == F(1)
+    desc = MapDescription(clauses=(IndexShift("*", 1),))
+    with pytest.raises(NotDiscrete):
+        _eval_member(desc, space, F(0), 100, mat)
+
