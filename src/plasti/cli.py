@@ -64,11 +64,23 @@ def _parse_window(text: str) -> Window:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _parse_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"cap must be at least 1, got {cap}")
+    return cap
+
+
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise PlastiError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise PlastiError(f"cannot read {path}: byte {err.start} is not UTF-8") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -221,7 +233,10 @@ def _cmd_plot(args) -> int:
     data = build_plot(space, args.window, desc, args.cap)
     svg = render_svg(data)
     if args.out:
-        Path(args.out).write_text(svg)
+        try:
+            Path(args.out).write_text(svg)
+        except OSError as err:
+            raise PlastiError(f"cannot write {args.out}: {err.strerror}") from None
     else:
         sys.stdout.write(svg)
     for jump in data.jumps:
@@ -303,9 +318,14 @@ def _cmd_extend(args) -> int:
 # ===================================================================
 
 
+def _one_line(message: str) -> str:
+    """The message with its line breaks escaped: an error is one line."""
+    return message.replace("\r", "\\r").replace("\n", "\\n")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; keep message short
-        self.exit(ERROR, f"{self.prog}: {message}\n")
+        self.exit(ERROR, f"{self.prog}: {_one_line(message)}\n")
 
 
 def _build_parser() -> _Parser:
@@ -316,8 +336,8 @@ def _build_parser() -> _Parser:
         if window:
             p.add_argument("--window", type=_parse_window, default=Window(Fraction(-10), Fraction(10)),
                            help="verification window LO..HI (default -10..10)")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="enumeration cap near accumulation points")
+        p.add_argument("--cap", type=_parse_cap, default=DEFAULT_CAP,
+                       help="enumeration cap near accumulation points (at least 1)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("check", help="run one windowed map check")
@@ -372,7 +392,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except PlastiError as err:
-        print(f"plasti {args.command}: {err}", file=sys.stderr)
+        print(f"plasti {args.command}: {_one_line(str(err))}", file=sys.stderr)
         return ERROR
 
 

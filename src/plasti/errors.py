@@ -30,10 +30,6 @@ class WindowTooSmall(SpaceError):
     """An exact census would be truncated by the window or an accumulation point."""
 
 
-class DeclarationContradicted(SpaceError):
-    """Declared metadata is refuted by materialized evidence."""
-
-
 class MapError(PlastiError):
     """Invalid map description or evaluation failure."""
 

@@ -11,14 +11,15 @@ window, never proofs.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, floor, isqrt
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
-    DeclarationContradicted,
     EmptyWindow,
     NotDiscrete,
     RuleDivergence,
@@ -141,26 +142,6 @@ class Interval:
         else:
             below = x < self.hi.value or (self.hi.closed and x == self.hi.value)
         return above and below
-
-    def contains_interval(self, other: "Interval") -> bool:
-        """Set containment other ⊆ self (exact, topology-aware)."""
-        if isinstance(self.lo.value, Infinity):
-            lo_ok = True
-        elif isinstance(other.lo.value, Infinity):
-            lo_ok = False
-        else:
-            lo_ok = other.lo.value > self.lo.value or (
-                other.lo.value == self.lo.value and (self.lo.closed or not other.lo.closed)
-            )
-        if isinstance(self.hi.value, Infinity):
-            hi_ok = True
-        elif isinstance(other.hi.value, Infinity):
-            hi_ok = False
-        else:
-            hi_ok = other.hi.value < self.hi.value or (
-                other.hi.value == self.hi.value and (self.hi.closed or not other.hi.closed)
-            )
-        return lo_ok and hi_ok
 
     def overlaps(self, other: "Interval") -> bool:
         """Nonempty set intersection (exact, topology-aware)."""
@@ -539,6 +520,16 @@ class AlternatingGaps:
             else:
                 hi = mid
         return lo
+
+    def side_points(self, anchor: Scalar, sign: int, first: int, last: int) -> list:
+        """anchor + sign*S(n) for first <= n <= last, stepping on from S(first - 1)."""
+        pos = anchor + sign * self.partial(first - 1)
+        step = operator.add if sign > 0 else operator.sub
+        out = []
+        for n in range(first, last + 1):
+            pos = step(pos, self.gap(n))
+            out.append(pos)
+        return out
 
     def indices_of(self, v: Scalar) -> tuple:
         k = len(self.atoms)
@@ -939,10 +930,6 @@ class SubspaceDescription:
     def discrete(self) -> bool:
         return all(isinstance(c, _DISCRETE_KINDS) for c in self.components)
 
-    @property
-    def has_interval_parts(self) -> bool:
-        return any(isinstance(c, _INTERVAL_KINDS) for c in self.components)
-
 
 # ===================================================================
 # Per-component symbolic facts
@@ -1096,6 +1083,85 @@ def hull(space: SubspaceDescription) -> Interval:
 
 
 # ===================================================================
+# Gap-sequence sides
+# ===================================================================
+
+
+@dataclass(frozen=True)
+class _Stops:
+    """Where an offset bound falls on one side of a gap sequence.
+
+    The side's members are anchor + sign*S(n) for n >= 1. ``count`` of them
+    lie below the bound (at or below it, when not strict), or None when
+    they were not counted: a listing met the cap inside the bound, or a
+    walk took ``cap`` steps without passing it. ``points(first, last)``
+    lists the members first..last outward, as far as they are known: any
+    member of a closed-sum or explicit side, and the first count + 1 (or
+    ``cap``, when count is None) of a walked side.
+    """
+
+    count: Optional[int]
+    points: Callable[[int, int], list]
+
+    def point(self, n: int) -> Optional[Scalar]:
+        """The n-th member, or None past the end of the side."""
+        found = self.points(n, n)
+        return found[0] if found else None
+
+
+def _side_stops(
+    anchor: Scalar,
+    program: GapProgram,
+    sign: int,
+    bound: Scalar,
+    strict: bool,
+    cap: int,
+    listing: bool = False,
+) -> _Stops:
+    """Count the members of one side out to an offset bound from its anchor.
+
+    The one place that decides how a side is read: an explicit list by its
+    prefix sums, a closed-sum rule by inverting its partial sums, and any
+    other rule by walking it gap by gap for at most ``cap`` steps. Explicit
+    and closed-sum sides answer without the cap, so membership and adjacency
+    on them cost the same at any offset. A ``listing`` enumerates what it
+    counts, so there a rule side also stops at its ``cap``-th member: the
+    count is None when that member lies within the bound. An explicit side
+    is listed whole. Unless listing, the bound must lie below the total of
+    a convergent side.
+    """
+    if program.finite:
+        sums = list(accumulate(program.values))
+        members = [anchor + sign * s for s in sums]
+        count = (bisect.bisect_left if strict else bisect.bisect_right)(sums, bound)
+        return _Stops(count, lambda first, last: members[first - 1 : last])
+    if program.closed_sums:
+
+        def points(first: int, last: int) -> list:
+            return program.side_points(anchor, sign, first, last)
+
+        if listing:
+            reach = program.partial(cap)
+            if reach < bound or (not strict and reach == bound):
+                return _Stops(None, points)
+        return _Stops(_max_n_with_sum_below(program, bound, strict), points)
+    walked: list = []
+    pos, edge = anchor, anchor + sign * bound
+    if sign > 0:
+        step, past = operator.add, operator.ge if strict else operator.gt
+    else:
+        step, past = operator.sub, operator.le if strict else operator.lt
+    count = None
+    for n in range(1, cap + 1):
+        pos = step(pos, program.gap(n))
+        walked.append(pos)
+        if past(pos, edge):
+            count = n - 1
+            break
+    return _Stops(count, lambda first, last: walked[first - 1 : last])
+
+
+# ===================================================================
 # Membership
 # ===================================================================
 
@@ -1104,28 +1170,13 @@ def _side_member(anchor: Scalar, program: Optional[GapProgram], sign: int, x: Sc
     """Is x a non-anchor member of the given side?"""
     if program is None:
         return False
-    pos = anchor
-    if program.finite:
-        for g in program.values:
-            pos = pos + sign * g
-            if pos == x:
-                return True
-        return False
     offset = sign * (x - anchor)
-    if offset <= 0 or offset >= program.total:
-        return False
-    if program.closed_sums:
-        n = _max_n_with_sum_below(program, offset, strict=False)
-        return n >= 1 and program.partial(n) == offset
-    for n in range(1, cap + 1):
-        pos = pos + sign * program.gap(n)
-        if pos == x:
-            return True
-        if sign > 0 and pos > x:
-            return False
-        if sign < 0 and pos < x:
-            return False
-    raise RuleDivergence(f"membership test for {format_scalar(x)} exceeded {cap} steps")
+    if program.converges and offset >= program.total:
+        return False  # at or beyond the limit
+    stops = _side_stops(anchor, program, sign, offset, True, cap)
+    if stops.count is None:
+        raise RuleDivergence(f"membership test for {format_scalar(x)} exceeded {cap} steps")
+    return stops.point(stops.count + 1) == x
 
 
 def component_contains(comp: Component, x: Scalar, cap: int = DEFAULT_CAP) -> bool:
@@ -1293,60 +1344,39 @@ def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
         truncated = []
         zones = []
 
-        def walk(program: Optional[GapProgram], sign: int, points: list):
-            """Append the side's window points to ``points``, outward."""
+        def side(program: Optional[GapProgram], sign: int) -> list:
+            """The side's window points, outward."""
             if program is None:
-                return
-            edge = hi if sign > 0 else lo
-            pos = comp.anchor
-            if program.finite:
-                for g in program.values:
-                    pos = pos + sign * g
-                    if lo <= pos <= hi:
-                        points.append(pos)
-                return
-            convergent = program.converges
-            limit = comp.anchor + sign * program.total if convergent else None
-            if convergent and sign > 0 and limit <= lo:
-                return  # the whole side sits below the window
-            if convergent and sign < 0 and limit >= hi:
-                return  # the whole side sits above the window
-            if isinstance(program, _Atom) and program.closed_sums:
-                # the side's members in the window are those with near <= S(n) <= far
-                near = sign * ((lo if sign > 0 else hi) - comp.anchor)
-                far = sign * (edge - comp.anchor)
-                first = _max_n_with_sum_below(program, near, strict=True) + 1
-                if convergent and far >= program.total:
-                    last = cap  # every later point stays in the window
-                else:
-                    last = _max_n_with_sum_below(program, far, strict=False)
-                points.extend(program.side_points(comp.anchor, sign, first, min(last, cap)))
-                if last < cap:
-                    return
-                pos = comp.anchor + sign * program.partial(cap)
-            else:
-                for n in range(1, cap + 1):
-                    pos = pos + sign * program.gap(n)
-                    if sign > 0 and pos > hi:
-                        return
-                    if sign < 0 and pos < lo:
-                        return
-                    if lo <= pos <= hi:
-                        points.append(pos)
-            # cap steps did not leave the window
-            if convergent:
+                return []
+            near, far = (lo, hi) if sign > 0 else (hi, lo)
+            if program.converges:
+                limit = comp.anchor + sign * program.total
+                if sign * (limit - near) <= 0:
+                    return []  # the whole side lies short of the window
+            bound = sign * (far - comp.anchor)
+            stops = _side_stops(comp.anchor, program, sign, bound, False, cap, listing=True)
+            last = cap if stops.count is None else stops.count
+            # the first member at or past the near edge, from the stops counted
+            first = 1
+            if sign * (near - comp.anchor) > 0:
+                ahead = range(1, last + 1)
+                first += bisect.bisect_left(ahead, sign * near, key=lambda n: sign * stops.point(n))
+            points = stops.points(first, last)
+            if stops.count is not None:
+                return points
+            # cap members did not leave the window
+            if program.converges:
                 truncated.append(limit)
                 # the stretch between the limit and the last stop is uncovered
+                pos = stops.point(cap)
                 zones.append(Interval.open(limit, pos) if sign < 0 else Interval.open(pos, limit))
-                return
+                return points
             raise RuleDivergence(
-                f"gap rule {program} did not reach the edge {format_scalar(edge)} in {cap} steps"
+                f"gap rule {program} did not reach the edge {format_scalar(far)} in {cap} steps"
             )
 
-        right: list = []
-        left: list = []
-        walk(comp.right, +1, right)
-        walk(comp.left, -1, left)
+        right = side(comp.right, +1)
+        left = side(comp.left, -1)
         left.reverse()
         if lo <= comp.anchor <= hi:
             left.append(comp.anchor)
@@ -1440,8 +1470,13 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
     for a, b in zip(fragments, fragments[1:]):
         if a.interval.overlaps(b.interval):
             raise SpaceError(f"components overlap on {a.interval} and {b.interval}")
+    # one merge: the fragments are disjoint and sorted, so only the first
+    # one that ends at or after p, and one that starts where it ends, can hold p
+    i = 0
     for p in points:
-        for f in fragments:
+        while i < len(fragments) and fragments[i].interval.hi.value < p:
+            i += 1
+        for f in fragments[i : i + 2]:
             if f.interval.contains(p):
                 raise SpaceError(f"point {format_scalar(p)} lies inside fragment {f.interval}")
     result = Materialization(
@@ -1462,167 +1497,80 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
 # ===================================================================
 
 
-def _component_next_above(comp: Component, x: Scalar, cap: int):
-    """(candidate, blocking_inf): smallest member > x if attained, and the
-    infimum of members > x when that infimum is not attained (else None)."""
+def _component_next(comp: Component, x: Scalar, cap: int, toward: int):
+    """(candidate, blocking) for one component, looking from x upward
+    (``toward`` 1) or downward (-1): the nearest member beyond x if
+    attained, and the limit that the members beyond x approach when there
+    is no nearest one (else None)."""
     if isinstance(comp, _INTERVAL_KINDS):
         raise NotDiscrete("adjacency is only defined on discrete spaces")
     if isinstance(comp, FinitePoints):
-        i = bisect.bisect_right(comp.points, x)
-        return (comp.points[i] if i < len(comp.points) else None), None
+        if toward > 0:
+            i = bisect.bisect_right(comp.points, x)
+            return (comp.points[i] if i < len(comp.points) else None), None
+        i = bisect.bisect_left(comp.points, x)
+        return (comp.points[i - 1] if i else None), None
     if isinstance(comp, ArithmeticProgression):
         a, s = comp.anchor, comp.step
-        k = ((x - a) / s).__floor__() + 1
-        if comp.direction == RIGHT:
+        k = (toward * (x - a) / s).__floor__() + 1  # steps from the anchor, toward
+        if comp.direction == (RIGHT if toward > 0 else LEFT):
             k = max(k, 0)
-        if comp.direction == LEFT and k > 0:
+        elif comp.direction != BOTH and k > 0:
             return None, None
-        return a + k * s, None
+        return a + toward * k * s, None
     # GapSequence
-    cands = []
-    if comp.anchor > x:
-        cands.append(comp.anchor)
-
-    def side(program, sign):
-        if program is None:
-            return
-        pos = comp.anchor
-        if program.finite:
-            for g in program.values:
-                pos = pos + sign * g
-                if pos > x:
-                    cands.append(pos)
-            return
-        if program.converges:
-            limit = comp.anchor + sign * program.total
-            if sign < 0 and limit >= x:
-                # all left-side points exceed x and decrease to the limit: no minimum
-                raise _Blocked(limit)
-            if sign > 0 and limit <= x:
-                return
-        if program.closed_sums:
-            if sign > 0:
-                # smallest n with S(n) > x - anchor
-                n = _max_n_with_sum_below(program, x - comp.anchor, strict=False) + 1
-                cands.append(comp.anchor + program.partial(n))
-            else:
-                # largest n with S(n) < anchor - x keeps the point above x
-                n = _max_n_with_sum_below(program, comp.anchor - x, strict=True)
-                if n >= 1:
-                    cands.append(comp.anchor - program.partial(n))
-            return
-        prev = None
-        for n in range(1, cap + 1):
-            pos = pos + sign * program.gap(n)
-            if sign > 0:
-                if pos > x:
-                    cands.append(pos)
-                    return
-            else:
-                if pos <= x:
-                    # walking down just crossed x; the previous stop is the
-                    # smallest side member above x
-                    if prev is not None:
-                        cands.append(prev)
-                    return
-                prev = pos
-        raise RuleDivergence(f"successor search for {format_scalar(x)} exceeded {cap} steps")
-
+    nearer = operator.lt if toward > 0 else operator.gt
+    best = comp.anchor if nearer(x, comp.anchor) else None
     blocking = None
-    try:
-        side(comp.right, +1)
-    except _Blocked as b:
-        blocking = b.value
-    try:
-        side(comp.left, -1)
-    except _Blocked as b:
-        blocking = b.value if blocking is None else min(blocking, b.value)
-    return (min(cands) if cands else None), blocking
+    for program, sign in ((comp.right, 1), (comp.left, -1))[::toward]:
+        if program is None:
+            continue
+        offset = sign * (x - comp.anchor)
+        outward = sign == toward  # looking away from the anchor
+        if program.converges and offset >= program.total:
+            if not outward:
+                # every member of the side lies beyond x, crowding to its limit
+                blocking = comp.anchor + sign * program.total
+            continue
+        stops = _side_stops(comp.anchor, program, sign, offset, not outward, cap)
+        if stops.count is None:
+            # the text names the search that predecessor mirrors, at -x
+            raise RuleDivergence(
+                f"successor search for {format_scalar(toward * x)} exceeded {cap} steps"
+            )
+        n = stops.count + 1 if outward else stops.count
+        cand = stops.point(n) if n else None
+        if cand is not None and (best is None or nearer(cand, best)):
+            best = cand
+    return best, blocking
 
 
-class _Blocked(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-def successor(space: SubspaceDescription, x: Scalar, cap: int = DEFAULT_CAP) -> Optional[Scalar]:
-    """The smallest member strictly above x, or None when no such minimum exists."""
+def _next_member(space: SubspaceDescription, x: Scalar, cap: int, toward: int) -> Optional[Scalar]:
+    """The member nearest to x beyond it, upward or downward; None when
+    there is none or members crowd toward x without a nearest one."""
+    nearer = operator.lt if toward > 0 else operator.gt
     best = None
     blockers = []
     for comp in space.components:
-        cand, blocking = _component_next_above(comp, x, cap)
-        if cand is not None and (best is None or cand < best):
+        cand, blocking = _component_next(comp, x, cap, toward)
+        if cand is not None and (best is None or nearer(cand, best)):
             best = cand
         if blocking is not None:
             blockers.append(blocking)
     for b in blockers:
-        if best is None or b < best:
-            return None  # accumulation from above: no smallest member
+        if best is None or nearer(b, best):
+            return None  # members crowd to b: none is nearest to x
     return best
+
+
+def successor(space: SubspaceDescription, x: Scalar, cap: int = DEFAULT_CAP) -> Optional[Scalar]:
+    """The smallest member strictly above x, or None when no such minimum exists."""
+    return _next_member(space, x, cap, 1)
 
 
 def predecessor(space: SubspaceDescription, x: Scalar, cap: int = DEFAULT_CAP) -> Optional[Scalar]:
     """The largest member strictly below x, or None when no such maximum exists."""
-    mirrored = negate(space)
-    s = successor(mirrored, -x, cap)
-    return None if s is None else -s
-
-
-# ===================================================================
-# Negation (pointwise mirror), used for orientation symmetry
-# ===================================================================
-
-
-def _negate_interval(ivl: Interval) -> Interval:
-    def neg(value):
-        return -value  # Infinity implements __neg__
-
-    return Interval(Endpoint(neg(ivl.hi.value), ivl.hi.closed), Endpoint(neg(ivl.lo.value), ivl.lo.closed))
-
-
-def _flip_direction(direction: str) -> str:
-    return {LEFT: RIGHT, RIGHT: LEFT, BOTH: BOTH}[direction]
-
-
-def _flip_topology(topology: str) -> str:
-    return {OPEN: OPEN, CLOSED: CLOSED, LEFT_CLOSED: RIGHT_CLOSED, RIGHT_CLOSED: LEFT_CLOSED}[topology]
-
-
-def negate_component(comp: Component) -> Component:
-    if isinstance(comp, FinitePoints):
-        return FinitePoints(tuple(-p for p in reversed(comp.points)))
-    if isinstance(comp, ArithmeticProgression):
-        return ArithmeticProgression(-comp.anchor, comp.step, _flip_direction(comp.direction))
-    if isinstance(comp, GapSequence):
-        return GapSequence(-comp.anchor, left=comp.right, right=comp.left)
-    if isinstance(comp, PeriodicIntervals):
-        first = comp.interval_at(0)
-        return PeriodicIntervals(
-            comp.length,
-            comp.gap,
-            -first.hi.value,
-            _flip_topology(comp.topology),
-            _flip_direction(comp.direction),
-        )
-    if isinstance(comp, IntervalList):
-        return IntervalList(tuple(_negate_interval(i) for i in reversed(comp.intervals)))
-    if isinstance(comp, HalfLine):
-        return HalfLine(Endpoint(-comp.endpoint.value, comp.endpoint.closed), _flip_direction(comp.direction))
-    raise SpaceError(f"unknown component {comp!r}")
-
-
-def negate(space: SubspaceDescription) -> SubspaceDescription:
-    def neg_bound(decl: Optional[BoundDecl]) -> Optional[BoundDecl]:
-        if decl is None or decl.kind == UNBOUNDED:
-            return decl
-        return BoundDecl(decl.kind, -decl.value)
-
-    return SubspaceDescription(
-        components=tuple(negate_component(c) for c in space.components),
-        accumulation=None if space.accumulation is None else tuple(sorted(-a for a in space.accumulation)),
-        bound_below=neg_bound(space.bound_above),
-        bound_above=neg_bound(space.bound_below),
-    )
+    return _next_member(space, x, cap, -1)
 
 
 # ===================================================================
@@ -1725,28 +1673,19 @@ def sequence_view(space: SubspaceDescription, cap: int = DEFAULT_CAP) -> Optiona
                 points.append(comp.anchor)
             continue
         # GapSequence: explicit sides unfold into points, rule sides become tails.
-        seq_pts = [comp.anchor]
-        if comp.left is not None:
-            if comp.left.finite:
-                pos = comp.anchor
-                for g in comp.left.values:
-                    pos -= g
-                    seq_pts.insert(0, pos)
-            else:
-                if not first:
-                    return None
-                left_tail = comp.left
-        if comp.right is not None:
-            if comp.right.finite:
-                pos = comp.anchor
-                for g in comp.right.values:
-                    pos += g
-                    seq_pts.append(pos)
-            else:
-                if not last:
-                    return None
-                right_tail = comp.right
-        points.extend(seq_pts)
+        points.append(comp.anchor)
+        for program, sign in ((comp.left, -1), (comp.right, 1)):
+            if program is not None and program.finite:
+                stops = _side_stops(comp.anchor, program, sign, program.total, False, cap)
+                points.extend(stops.points(1, stops.count))
+        if comp.left is not None and not comp.left.finite:
+            if not first:
+                return None
+            left_tail = comp.left
+        if comp.right is not None and not comp.right.finite:
+            if not last:
+                return None
+            right_tail = comp.right
     points.sort()
     if any(a >= b for a, b in zip(points, points[1:])):
         return None
@@ -1916,11 +1855,6 @@ class MetadataReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def raise_if_failed(self):
-        for c in self.checks:
-            if not c.passed:
-                raise DeclarationContradicted(f"{c.declaration}: {c.evidence}")
 
     def render(self) -> str:
         lines = [f"metadata validation on {self.window}"]

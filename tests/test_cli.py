@@ -1,8 +1,13 @@
 """Command-line surface: exit codes, report text, JSON payloads."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plasti.cli import main
 
@@ -355,3 +360,168 @@ def test_bad_window_format_exits_two(files, capsys):
 
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_plot_to_an_unwritable_path_exits_two_with_one_line(files, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.svg"
+    code = main(["plot", "--space", files("s.sp", INTEGERS), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"plasti plot: cannot write {out}: No such file or directory\n"
+
+
+def test_a_file_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys):
+    space = tmp_path / "s.sp"
+    space.write_bytes(b"points: 0 1 \xe9\n")
+    code = main(["classify", "--space", str(space)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"plasti classify: cannot read {space}: byte 12 is not UTF-8\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_cap_below_one_is_refused_while_parsing(files, cap, capsys):
+    code = main(["classify", "--space", files("s.sp", INTEGERS), "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"plasti classify: argument --cap: cap must be at least 1, got {cap}\n"
+
+
+# -------------------------------------------------------------------
+# fuzz: every input ends in exit 0, 1 or 2
+# -------------------------------------------------------------------
+
+SPACE_FILES = (
+    ("points: 0 1 3",),
+    ("interval: [0,1)", "interval: [2,3]", "points: 5"),
+    ("arith: anchor=0 step=1 dir=both", "meta: bounded-below=unbounded"),
+    ("gapseq: anchor=0 left=recipdiff(n+3) right=alt(recip(n+0),affine(1n+1))",),
+    ("gapseq: anchor=1/2 left=explicit(1,1/2) right=const(2)", "meta: accum=none"),
+    (
+        "gapseq: anchor=1/2 left=recipdiff(n+3)",
+        "arith: anchor=1 step=1 dir=right",
+        "meta: accum=1/4",
+        "meta: bounded-below=unattained(1/4)",
+    ),
+    ("periodic: len=1 gap=1 anchor=0 topo=left-closed dir=both",),
+    ("halfline: (2,+inf)", "points: 0 1"),
+)
+MAP_FILES = (
+    ("piece: dom=(-inf,+inf) slope=1 icpt=0",),
+    ("table: 0->1 1->0 3->3", "piece: dom=(3,+inf) slope=1/2 icpt=0"),
+    ("idxshift: comp=0 k=1", "inverse: idxshift: comp=0 k=-1"),
+    ("idxshift: comp=* k=-1 dom=(1/4,1/2)", "piece: dom=[1,+inf) slope=1 icpt=-1"),
+    ("gallery: example1:relocate",),
+)
+MATRIX_FILE = ("labels: a=inner(0) b=inner(10) p=outer", "x0: a", "row: 10 1", "row: 1")
+SYMBOLS = "0123456789/-+=:,.()[]#n* abcdfinpqrstx\té"
+
+
+@st.composite
+def mutated_lines(draw, files):
+    """One of the files, its lines with a few characters deleted, inserted
+    or replaced, and a line sometimes dropped or repeated."""
+    lines = list(draw(st.sampled_from(files)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if len(lines) > 1 and draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    out = []
+    for line in lines:
+        for _ in range(draw(st.sampled_from((0, 0, 0, 0, 0, 0, 1, 2)))):
+            at = draw(st.integers(0, len(line)))
+            op = draw(st.sampled_from(("delete", "insert", "replace")))
+            char = draw(st.sampled_from(SYMBOLS))
+            if op == "insert":
+                line = line[:at] + char + line[at:]
+            else:
+                line = line[:at] + (char if op == "replace" else "") + line[at + 1 :]
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+scalars = st.integers(-4, 4).map(str) | st.sampled_from(["1/2", "-3/2", "x", "", "1/0"])
+
+
+@st.composite
+def windows(draw):
+    """Mostly a well-formed window, so that most cases run past parsing."""
+    if draw(st.integers(0, 15)):
+        lo = draw(st.integers(-4, 3))
+        return f"{lo}..{lo + draw(st.integers(1, 6))}"
+    return f"{draw(scalars)}..{draw(scalars)}"
+
+
+@st.composite
+def caps(draw):
+    if draw(st.integers(0, 15)):
+        return str(draw(st.integers(1, 12)))
+    return draw(st.sampled_from(["0", "-1", "x"]))
+
+
+# argv tokens an operating system can pass: no NUL and no surrogates (an
+# undecodable byte arrives as one of U+DC80..U+DCFF); no slash in a file name
+characters = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+tokens = st.text(characters | st.sampled_from("\udc80\udcff"), max_size=6)
+names = tokens.filter(lambda t: t and "/" not in t)
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, files): a subcommand with generated options, and the bytes of
+    the files it names. A name that starts with @ stands for a path in a
+    scratch directory; files holds those that exist. Windows stay small and
+    caps low."""
+    commands = ("check", "classify", "oracle", "plot", "gallery", "extend", "nope")
+    command = draw(st.sampled_from(commands))
+    argv, files = [command], {}
+
+    def path(name: str, lines) -> str:
+        if draw(st.integers(0, 15)):
+            files[name] = draw(mutated_lines(lines))
+            return "@" + name
+        return "@" + draw(names)  # missing, or a directory
+
+    if command == "gallery":
+        argv.append(draw(st.sampled_from(("list", "example1", "example2", "nope", ""))))
+    elif command == "extend":
+        argv.append(path("m.dm", (MATRIX_FILE,)))
+        argv += draw(st.sampled_from(([], ["--mode", "railway"], ["--mode", "x"])))
+    elif command in ("check", "classify", "plot", "oracle"):
+        if command == "oracle" and draw(st.booleans()):
+            points = draw(st.lists(scalars | st.just("0..3"), min_size=1, max_size=4))
+            argv += ["--points", ",".join(points)] + draw(st.sampled_from(([], ["--strong"])))
+        else:
+            argv += ["--space", path("s.sp", SPACE_FILES)]
+        if command in ("check", "plot"):
+            argv += ["--map", path("m.mp", MAP_FILES)]
+        if command == "check":
+            which = ("endo", "nonexpansive", "bijection", "isometry", "between", "lipschitz", "x")
+            argv += ["--which", draw(st.sampled_from(which))]
+        if command == "plot" and draw(st.booleans()):
+            argv += ["--out", "@" + draw(st.sampled_from(("fig.svg", "missing/fig.svg", ".")))]
+        argv += [f"--window={draw(windows())}", "--cap", draw(caps())]
+    if draw(st.booleans()):
+        argv.append("--json")
+    options = ("--cap", "--window", "--strong", "--verify", "-h", "--")
+    argv += draw(st.lists(st.sampled_from(options) | tokens, max_size=1))
+    # latin-1 turns the inserted é into a byte that is not UTF-8
+    encoding = draw(st.sampled_from(("utf-8", "latin-1")))
+    return argv, {name: text.encode(encoding) for name, text in files.items()}
+
+
+@settings(max_examples=300)
+@given(cli_cases())
+def test_every_input_exits_zero_one_or_two(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            Path(tmp, name).write_bytes(data)
+        argv = [str(Path(tmp, a[1:])) if a.startswith("@") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -1,13 +1,19 @@
-"""The window index: what a materialization answers by itself.
+"""The window index and the side locator, against the code they replace.
 
-A materialization builds closed-sum sides (const, affine, recipdiff) from
-the index range of their partial sums, decides membership inside its
-window and outside its truncation zones, and answers index shifts by
-stepping along its sorted points. Each is compared here with the path it
-replaces: the per-step walk (kept below as the reference), ``contains``,
-and ``successor``/``predecessor``.
+A materialization builds closed-sum sides (const, affine, recipdiff and
+alt of those) from the index range of their partial sums, decides
+membership inside its window and outside its truncation zones, and
+answers index shifts by stepping along its sorted points. Membership and
+adjacency on gap-sequence sides go through one locator. Each is compared
+here with a reference kept below: ``walked_side_points``, the per-step
+walk of a side; ``reference_side_member``, ``reference_next_above`` and
+``reference_successor``, membership and the successor search with their
+own explicit, closed-sum and walked branches; and ``reference_predecessor``,
+the successor search on the mirror image ``mirrored(space)``. Errors are
+compared by type and text.
 """
 
+import bisect
 from fractions import Fraction as F
 
 import pytest
@@ -24,16 +30,21 @@ from plasti.space import (
     ExplicitGaps,
     FinitePoints,
     GapSequence,
+    HalfLine,
     Interval,
     IntervalList,
+    PeriodicIntervals,
     ReciprocalGaps,
     SubspaceDescription,
     TelescopingGaps,
     Window,
     _materialize_points,
+    _max_n_with_sum_below,
     component_contains,
     contains,
     materialize,
+    predecessor,
+    successor,
 )
 
 
@@ -83,6 +94,159 @@ def walked_side_points(comp: GapSequence, window: Window, cap: int) -> tuple:
     return tuple(sorted(points)), tuple(truncated), tuple(zones)
 
 
+def reference_side_member(anchor, program, sign, x, cap) -> bool:
+    """Is x a non-anchor member of the given side?"""
+    if program is None:
+        return False
+    pos = anchor
+    if program.finite:
+        for g in program.values:
+            pos = pos + sign * g
+            if pos == x:
+                return True
+        return False
+    offset = sign * (x - anchor)
+    if offset <= 0 or offset >= program.total:
+        return False
+    if program.closed_sums:
+        n = _max_n_with_sum_below(program, offset, strict=False)
+        return n >= 1 and program.partial(n) == offset
+    for n in range(1, cap + 1):
+        pos = pos + sign * program.gap(n)
+        if pos == x:
+            return True
+        if sign > 0 and pos > x:
+            return False
+        if sign < 0 and pos < x:
+            return False
+    raise RuleDivergence(f"membership test for {format_scalar(x)} exceeded {cap} steps")
+
+
+def reference_component_contains(comp, x, cap) -> bool:
+    if not isinstance(comp, GapSequence):
+        return component_contains(comp, x, cap)
+    if x == comp.anchor:
+        return True
+    if x > comp.anchor:
+        return reference_side_member(comp.anchor, comp.right, +1, x, cap)
+    return reference_side_member(comp.anchor, comp.left, -1, x, cap)
+
+
+def reference_contains(space, x, cap) -> bool:
+    return any(reference_component_contains(c, x, cap) for c in space.components)
+
+
+class Blocked(Exception):
+    def __init__(self, value):
+        self.value = value
+
+
+def reference_next_above(comp, x, cap):
+    """(candidate, blocking_inf): smallest member > x if attained, and the
+    infimum of members > x when that infimum is not attained (else None)."""
+    if isinstance(comp, (PeriodicIntervals, IntervalList, HalfLine)):
+        raise NotDiscrete("adjacency is only defined on discrete spaces")
+    if isinstance(comp, FinitePoints):
+        i = bisect.bisect_right(comp.points, x)
+        return (comp.points[i] if i < len(comp.points) else None), None
+    if isinstance(comp, ArithmeticProgression):
+        a, s = comp.anchor, comp.step
+        k = ((x - a) / s).__floor__() + 1
+        if comp.direction == "right":
+            k = max(k, 0)
+        if comp.direction == "left" and k > 0:
+            return None, None
+        return a + k * s, None
+    cands = []
+    if comp.anchor > x:
+        cands.append(comp.anchor)
+
+    def side(program, sign):
+        if program is None:
+            return
+        pos = comp.anchor
+        if program.finite:
+            for g in program.values:
+                pos = pos + sign * g
+                if pos > x:
+                    cands.append(pos)
+            return
+        if program.converges:
+            limit = comp.anchor + sign * program.total
+            if sign < 0 and limit >= x:
+                raise Blocked(limit)
+            if sign > 0 and limit <= x:
+                return
+        if program.closed_sums:
+            if sign > 0:
+                n = _max_n_with_sum_below(program, x - comp.anchor, strict=False) + 1
+                cands.append(comp.anchor + program.partial(n))
+            else:
+                n = _max_n_with_sum_below(program, comp.anchor - x, strict=True)
+                if n >= 1:
+                    cands.append(comp.anchor - program.partial(n))
+            return
+        prev = None
+        for n in range(1, cap + 1):
+            pos = pos + sign * program.gap(n)
+            if sign > 0:
+                if pos > x:
+                    cands.append(pos)
+                    return
+            else:
+                if pos <= x:
+                    if prev is not None:
+                        cands.append(prev)
+                    return
+                prev = pos
+        raise RuleDivergence(f"successor search for {format_scalar(x)} exceeded {cap} steps")
+
+    blocking = None
+    try:
+        side(comp.right, +1)
+    except Blocked as b:
+        blocking = b.value
+    try:
+        side(comp.left, -1)
+    except Blocked as b:
+        blocking = b.value if blocking is None else min(blocking, b.value)
+    return (min(cands) if cands else None), blocking
+
+
+def reference_successor(space, x, cap):
+    best = None
+    blockers = []
+    for comp in space.components:
+        cand, blocking = reference_next_above(comp, x, cap)
+        if cand is not None and (best is None or cand < best):
+            best = cand
+        if blocking is not None:
+            blockers.append(blocking)
+    for b in blockers:
+        if best is None or b < best:
+            return None
+    return best
+
+
+def mirrored(space):
+    """The mirror image x -> -x of a space of discrete components."""
+    flip = {"left": "right", "right": "left", "both": "both"}
+
+    def mirror(comp):
+        if isinstance(comp, FinitePoints):
+            return FinitePoints(tuple(-p for p in reversed(comp.points)))
+        if isinstance(comp, ArithmeticProgression):
+            return ArithmeticProgression(-comp.anchor, comp.step, flip[comp.direction])
+        return GapSequence(-comp.anchor, left=comp.right, right=comp.left)
+
+    return SubspaceDescription(tuple(mirror(c) for c in space.components))
+
+
+def reference_predecessor(space, x, cap):
+    s = reference_successor(mirrored(space), -x, cap)
+    return None if s is None else -s
+
+
 def outcome(fn, *args):
     """A call's value, or the type and text of the plasti error it raised."""
     try:
@@ -96,7 +260,7 @@ offsets = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
 @st.composite
-def closed_sum_rules(draw):
+def closed_sum_atoms(draw):
     kind = draw(st.sampled_from(["const", "affine0", "affine", "recipdiff"]))
     if kind == "const":
         return ConstantGaps(draw(positive))
@@ -107,6 +271,11 @@ def closed_sum_rules(draw):
         offset = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
         return AffineGaps(slope, max(offset, F(1, 4) - slope))  # positive at n = 1
     return TelescopingGaps(draw(st.fractions(min_value=F(-4, 5), max_value=4, max_denominator=7)))
+
+
+def closed_sum_rules():
+    alt = st.tuples(closed_sum_atoms(), closed_sum_atoms()).map(AlternatingGaps)
+    return closed_sum_atoms() | alt
 
 
 @st.composite
@@ -164,16 +333,21 @@ def test_a_far_window_is_reached_without_walking_to_it():
 # -------------------------------------------------------------------
 
 
+def recip_rules():
+    shifts = st.fractions(min_value=F(-1, 2), max_value=2, max_denominator=3)
+    return shifts.map(ReciprocalGaps)
+
+
 @st.composite
 def any_rules(draw):
     kind = draw(st.sampled_from(["closed", "recip", "alt", "explicit"]))
     if kind == "closed":
-        return draw(closed_sum_rules())
+        return draw(closed_sum_atoms())
     if kind == "recip":
-        shift = draw(st.fractions(min_value=F(-1, 2), max_value=2, max_denominator=3))
-        return ReciprocalGaps(shift)
-    if kind == "alt":
-        return AlternatingGaps((draw(closed_sum_rules()), draw(closed_sum_rules())))
+        return draw(recip_rules())
+    if kind == "alt":  # closed sums, or walked when an atom is recip
+        atoms = closed_sum_atoms() | recip_rules()
+        return AlternatingGaps((draw(atoms), draw(atoms)))
     return ExplicitGaps(tuple(draw(st.lists(positive, min_size=1, max_size=4))))
 
 
@@ -256,6 +430,38 @@ def test_materialized_membership_on_interval_spaces():
         expected = None if x == 7 else contains(space, x)
         assert mat.member(x) == expected
     assert mat.member(F(5, 2), 1) is True and mat.member(F(1, 2), 0) is None
+
+
+CLIMB = SubspaceDescription((GapSequence(F(0), right=TelescopingGaps(F(0))),))  # up to 1
+LONG = SubspaceDescription((GapSequence(F(0), right=ExplicitGaps((F(1),) * 8)),))
+ALT_FAR = GapSequence(F(0), right=AlternatingGaps((ConstantGaps(F(1)), AffineGaps(F(1), F(0)))))
+window_offsets = st.lists(st.fractions(min_value=-4, max_value=12, max_denominator=6), max_size=4)
+
+
+@given(discrete_spaces(), window_offsets)
+# a left side falls to 1/4: no smallest member above 0 or 1/4
+@example((SubspaceDescription((TAIL,)), Window(F(0), F(1)), 20), [F(0), F(1, 4), F(3, 8)])
+# a right side climbs to 1: no largest member below 1 or 2
+@example((CLIMB, Window(F(0), F(2)), 20), [F(1), F(2), F(3, 4)])
+# an explicit side of 8 members under a cap of 3
+@example((LONG, Window(F(-1), F(9)), 3), [F(9), F(9, 2), F(10), F(11)])
+# S(2000) = 501500 on alt(1, n): far beyond the cap of 5
+@example(
+    (SubspaceDescription((ALT_FAR,)), Window(F(501499), F(501503)), 5),
+    [F(1), F(2), F(5, 2), F(1003)],
+)
+def test_membership_and_adjacency_match_the_references(case, offsets):
+    space, window, cap = case
+    mat = materialized(space, window, cap)
+    xs = [window.lo + t for t in offsets] + ([] if mat is None else probes(mat)[::3])
+    for x in xs:
+        assert outcome(contains, space, x, cap) == outcome(reference_contains, space, x, cap)
+        for comp in space.components:
+            assert outcome(component_contains, comp, x, cap) == outcome(
+                reference_component_contains, comp, x, cap
+            )
+        assert outcome(successor, space, x, cap) == outcome(reference_successor, space, x, cap)
+        assert outcome(predecessor, space, x, cap) == outcome(reference_predecessor, space, x, cap)
 
 
 def shift_maps(space, steps, restriction=None):
