@@ -450,6 +450,155 @@ def test_pair_witness_nudges_each_limit_into_its_own_span():
 
 
 # -------------------------------------------------------------------
+# Report texts: one minimal case per report branch
+# -------------------------------------------------------------------
+
+
+def _table(*pairs) -> Table:
+    return Table(tuple((F(x), F(y)) for x, y in pairs))
+
+
+def _maps(*clauses, inverse=None) -> MapDescription:
+    return MapDescription(clauses=clauses, inverse=inverse)
+
+
+_Z = SubspaceDescription(components=(ArithmeticProgression(F(0), F(1), "both"),))
+_NATURALS = SubspaceDescription(components=(ArithmeticProgression(F(0), F(1), "right"),))
+_OPEN_01 = Interval.open(F(0), F(1))
+_OPEN_23 = Interval.open(F(2), F(3))
+_UNIT = SubspaceDescription(components=(IntervalList((_OPEN_01,)),))
+_APART = SubspaceDescription(components=(IntervalList((_OPEN_01, _OPEN_23)),))
+_STEP = affine(full_line(), 1, 1)
+_TAIL = SubspaceDescription(components=(GapSequence(F(0), right=TelescopingGaps(F(0))),))
+
+_REPORT_CASES = {
+    "endomorphism-member-image": (
+        check_endomorphism, points(0, 1, 2), _maps(_table((0, 0), (1, 1), (2, 3))), W, 10_000,
+        "[FAIL] endomorphism on window [-10,10]\n"
+        "  witness: image leaves the space (2 -> 3)",
+    ),
+    "endomorphism-flat-piece": (
+        check_endomorphism, _UNIT, _maps(affine(full_line(), 0, 5)), W, 10_000,
+        "[FAIL] endomorphism on window [-10,10]\n"
+        "  witness: flat piece lands outside the space (1/4 -> 5)",
+    ),
+    "endomorphism-piece-image": (
+        check_endomorphism, _UNIT, _maps(affine(full_line(), 1, F(1, 2))), W, 10_000,
+        "[FAIL] endomorphism on window [-10,10]\n"
+        "  witness: piece image leaves the space (1/2 -> 1)",
+    ),
+    "nonexpansive-slope": (
+        check_nonexpansive, _UNIT, _maps(affine(full_line(), -2, 0)), W, 10_000,
+        "[FAIL] nonexpansive on window [-10,10]\n"
+        "  witness: piece slope -2 exceeds 1 in size (1/4, 1/2 -> -1/2, -1)",
+    ),
+    "nonexpansive-member-pair": (
+        check_nonexpansive, points(0, 1, 2), _maps(_table((0, 0), (1, 2), (2, 0))), W, 10_000,
+        "[FAIL] nonexpansive on window [-10,10]\n"
+        "  witness: pair moves apart (0, 1 -> 0, 2)",
+    ),
+    "nonexpansive-nudged-limits": (
+        check_nonexpansive, _APART, _maps(affine(_OPEN_01, 1, 0), affine(_OPEN_23, 1, 10)), W, 10_000,
+        "[FAIL] nonexpansive on window [-10,10]\n"
+        "  witness: pair moves apart (1/16, 33/16 -> 1/16, 193/16)",
+    ),
+    "isometry-slope": (
+        check_isometry, _UNIT, _maps(affine(full_line(), F(1, 2), 0)), W, 10_000,
+        "[FAIL] isometry on window [-10,10]\n"
+        "  witness: piece slope 1/2 is not a unit (1/4, 1/2 -> 1/8, 1/4)",
+    ),
+    "isometry-member-pair": (
+        check_isometry, points(0, 1, 3), _maps(_table((0, 0), (1, 1), (3, 2))), W, 10_000,
+        "[FAIL] isometry on window [-10,10]\n"
+        "  witness: pair changes distance (0, 3 -> 0, 2)",
+    ),
+    "between-member-triple": (
+        check_between_preservation, points(0, 1, 2), _maps(_table((0, 0), (1, 2), (2, 1))), W, 10_000,
+        "[FAIL] between on window [-10,10]\n"
+        "  witness: middle point leaves the image segment (0, 1, 2 -> 0, 2, 1)",
+    ),
+    "bijection-flat-piece": (
+        check_bijection, _UNIT, _maps(affine(full_line(), 0, F(1, 2))), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: flat piece collapses a stretch (1/4, 1/2 -> 1/2, 1/2)",
+    ),
+    "bijection-members-collide": (
+        check_bijection, points(0, 1, 2), _maps(_table((0, 0), (1, 0), (2, 2))), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: two members share an image (0, 1 -> 0, 0)",
+    ),
+    "bijection-pieces-collide": (
+        check_bijection, _APART, _maps(affine(_OPEN_01, 1, 0), affine(_OPEN_23, 1, -2)), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: two pieces share an image value (1/2, 5/2 -> 1/2, 1/2)",
+    ),
+    "bijection-point-meets-piece": (
+        check_bijection,
+        SubspaceDescription(components=(IntervalList((_OPEN_01,)), FinitePoints((F(5),)))),
+        _maps(affine(_OPEN_01, 1, 0), _table((5, F(1, 2)))), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: point image hit by a piece interior (5, 1/2 -> 1/2, 1/2)",
+    ),
+    "bijection-image-leaves": (
+        check_bijection, points(0, 1, 2),
+        _maps(_table((0, 1), (1, 2), (2, 5)), inverse=_maps(_table((0, 2), (1, 0), (2, 1)))), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: image leaves the space, cannot be onto (2 -> 5)",
+    ),
+    "bijection-inverse-does-not-undo": (
+        check_bijection, _Z, _maps(_STEP, inverse=_maps(_STEP)), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: declared inverse does not undo the map (-10 -> -9)",
+    ),
+    "bijection-inverse-leaves": (
+        check_bijection, _NATURALS, _maps(_STEP, inverse=_maps(affine(full_line(), 1, -1))), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: declared inverse leaves the space (0 -> -1)",
+    ),
+    "bijection-map-does-not-undo": (
+        check_bijection, _NATURALS,
+        _maps(_STEP, inverse=_maps(_table((0, 5)), affine(Interval.open(F(0), F(10_000)), 1, -1))),
+        W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: map does not undo the declared inverse (0 -> 5)",
+    ),
+    "bijection-member-missed": (
+        check_bijection, points(0, 1, 2), _maps(_table((0, 0), (1, 1), (2, 5))), W, 10_000,
+        "[FAIL] bijection on window [-10,10]\n"
+        "  witness: member missed by the image (at 2)",
+    ),
+    "bijection-onto-through-the-inverse": (
+        check_bijection, _Z, IDENTITY, W, 10_000,
+        "[pass] bijection on window [-10,10]\n"
+        "  note: onto certified through the declared inverse on window members",
+    ),
+    "bijection-finite-image": (
+        check_bijection, points(0, 1, 2), _maps(_table((0, 1), (1, 0), (2, 2))), W, 10_000,
+        "[pass] bijection on window [-10,10]\n"
+        "  note: finite space: image compared with the full point set",
+    ),
+    "notes-subsampled": (
+        check_bijection, _Z, IDENTITY, Window(F(0), F(700)), 10_000,
+        "[pass] bijection on window [0,700]\n"
+        "  note: more than 600 window points; pair checks subsampled\n"
+        "  note: onto certified through the declared inverse on window members",
+    ),
+    "notes-truncated": (
+        check_nonexpansive, _TAIL, _maps(affine(full_line(), 2, 0)), Window(F(-1), F(2)), 5,
+        "[FAIL] nonexpansive on window [-1,2]\n"
+        "  witness: pair moves apart (0, 1/2 -> 0, 1)\n"
+        "  note: enumeration truncated near 1; raise the cap to tighten the check",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPORT_CASES), ids=list(_REPORT_CASES))
+def test_report_text_of_each_branch(case):
+    check, space, desc, window, cap, text = _REPORT_CASES[case]
+    assert check(desc, space, window, cap).render() == text
+
+
+# -------------------------------------------------------------------
 # Lipschitz bound
 # -------------------------------------------------------------------
 
