@@ -474,13 +474,7 @@ def _rem316_halfopen() -> GalleryEntry:
 
     def glue_map(entry):
         verdict = classify(entry.space, entry.window, entry.cap)
-        reports = (
-            check_endomorphism(verdict.witness, entry.space, entry.window, entry.cap),
-            check_nonexpansive(verdict.witness, entry.space, entry.window, entry.cap),
-            check_bijection(verdict.witness, entry.space, entry.window, entry.cap),
-        )
-        iso = check_isometry(verdict.witness, entry.space, entry.window, entry.cap)
-        ok = all(r.passed for r in reports) and not iso.passed
+        ok = verify_witness(entry.space, verdict.witness, entry.window, entry.cap).valid
         return ok, "fold passes endomorphism, non-expansiveness, bijection; fails isometry"
 
     return GalleryEntry(

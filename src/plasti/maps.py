@@ -11,6 +11,9 @@ are exact, not sampled: on a box of piece domains the expansion defect
 within a piece the slope bound decides. Across samples, |x-z| = |x-y| +
 |y-z| for x < y < z lets one sweep over neighbours in sorted order decide
 every pair and every triple.
+
+Each check names only its first witness, or None, testing in a fixed
+order; ``_report`` is the one place that turns it into a ``CheckReport``.
 """
 
 from __future__ import annotations
@@ -505,10 +508,6 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _scope(window: Window) -> str:
-    return f"window {window}"
-
-
 def _base_notes(ws: WindowSamples) -> list:
     notes = []
     if ws.materialization.truncated:
@@ -517,6 +516,16 @@ def _base_notes(ws: WindowSamples) -> list:
     if ws.subsampled:
         notes.append(f"more than {MAX_PAIR_SAMPLES} window points; pair checks subsampled")
     return notes
+
+
+def _report(
+    check: str, window: Window, ws: WindowSamples, witness: Optional[Witness], passed_note: str = ""
+) -> CheckReport:
+    """A failure at the check's first witness, else a pass that notes ``passed_note``."""
+    notes = _base_notes(ws)
+    if witness is None and passed_note:
+        notes.append(passed_note)
+    return CheckReport(check, witness is None, f"window {window}", witness, tuple(notes))
 
 
 # ===================================================================
@@ -536,45 +545,27 @@ def check_endomorphism(
     onto an interval, whose interior must lie in the space; a value of it
     outside the space, pulled back through the piece, is the witness.
     """
-    desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
+    return _report("endomorphism", window, ws, _escape(space, ws, cap))
+
+
+def _escape(space: SubspaceDescription, ws: WindowSamples, cap: int) -> Optional[Witness]:
+    """The first image of a window member that leaves the space."""
     mat = ws.materialization
-    notes = _base_notes(ws)
-    scope = _scope(window)
     for s in ws.point_samples:
         if not _member(space, s.value, cap, mat):
-            return CheckReport(
-                "endomorphism",
-                False,
-                scope,
-                Witness((s.x,), (s.value,), "image leaves the space"),
-                tuple(notes),
-            )
+            return Witness((s.x,), (s.value,), "image leaves the space")
     for span in ws.spans:
         va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
         image_lo, image_hi = min(va, vb), max(va, vb)
-        if image_lo == image_hi:
-            if not _member(space, image_lo, cap, mat):
-                q, _ = span.inner_pair()
-                return CheckReport(
-                    "endomorphism",
-                    False,
-                    scope,
-                    Witness((q,), (image_lo,), "flat piece lands outside the space"),
-                    tuple(notes),
-                )
-            continue
-        y = _value_outside(space, image_lo, image_hi, cap)
+        if image_lo == image_hi and not _member(space, image_lo, cap, mat):
+            q, _ = span.inner_pair()
+            return Witness((q,), (image_lo,), "flat piece lands outside the space")
+        y = _value_outside(space, image_lo, image_hi, cap)  # None for a flat piece
         if y is not None:
             bad = (y - span.piece.intercept) / span.piece.slope
-            return CheckReport(
-                "endomorphism",
-                False,
-                scope,
-                Witness((bad,), (y,), "piece image leaves the space"),
-                tuple(notes),
-            )
-    return CheckReport("endomorphism", True, scope, None, tuple(notes))
+            return Witness((bad,), (y,), "piece image leaves the space")
+    return None
 
 
 def _value_outside(
@@ -652,6 +643,29 @@ def _member_witness(samples: tuple, detail: str, broken) -> Witness:
     return Witness(tuple(s.x for s in samples), tuple(s.value for s in samples), detail)
 
 
+def _slope_witness(ws: WindowSamples, bad_slope, detail: str) -> Optional[Witness]:
+    """The inner pair of the first span with a ``bad_slope``; ``detail`` may say ``{slope}``."""
+    for span in ws.spans:
+        if bad_slope(span.piece.slope):
+            q, m = span.inner_pair()
+            detail = detail.format(slope=format_scalar(span.piece.slope))
+            return Witness((q, m), (span.piece.apply(q), span.piece.apply(m)), detail)
+    return None
+
+
+def _pair_witness(
+    ws: WindowSamples, bad_slope, slope_detail: str, sweep, broken, pair_detail: str
+) -> Optional[Witness]:
+    """A span slope that breaks a pair property, else the first ``broken``
+    sample pair in pair order, nudged onto members, when the ``sweep`` finds one."""
+    witness = _slope_witness(ws, bad_slope, slope_detail)
+    if witness is not None or sweep(ws.all_samples):
+        return witness
+    # the sweep decides; the pair loop finds the first witness in pair order
+    pair = next((p for p in combinations(ws.all_samples, 2) if broken(*p)), None)
+    return None if pair is None else _member_witness(pair, pair_detail, broken)
+
+
 def check_nonexpansive(
     desc: MapDescription,
     space: SubspaceDescription,
@@ -664,36 +678,16 @@ def check_nonexpansive(
     sufficient; across pieces, fragments and isolated points the defect is
     convex on each box, so endpoint and cut samples decide exactly.
     """
-    desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
-    notes = _base_notes(ws)
-    scope = _scope(window)
-    for span in ws.spans:
-        if abs(span.piece.slope) > 1:
-            q, m = span.inner_pair()
-            return CheckReport(
-                "nonexpansive",
-                False,
-                scope,
-                Witness(
-                    (q, m),
-                    (span.piece.apply(q), span.piece.apply(m)),
-                    f"piece slope {format_scalar(span.piece.slope)} exceeds 1 in size",
-                ),
-                tuple(notes),
-            )
-    if not _sweep_nonexpansive(ws.all_samples):
-        # the sweep decides; the pair loop finds the first witness in pair order
-        for a, b in combinations(ws.all_samples, 2):
-            if _moves_apart(a, b):
-                return CheckReport(
-                    "nonexpansive",
-                    False,
-                    scope,
-                    _member_witness((a, b), "pair moves apart", _moves_apart),
-                    tuple(notes),
-                )
-    return CheckReport("nonexpansive", True, scope, None, tuple(notes))
+    witness = _pair_witness(
+        ws,
+        lambda slope: abs(slope) > 1,
+        "piece slope {slope} exceeds 1 in size",
+        _sweep_nonexpansive,
+        _moves_apart,
+        "pair moves apart",
+    )
+    return _report("nonexpansive", window, ws, witness)
 
 
 def _adjacent_pairs(samples: tuple):
@@ -760,7 +754,6 @@ def lipschitz_upper(
 ) -> tuple:
     """(bound, notes): the exact largest expansion ratio over the window,
     the larger of the span slopes and the sample ratios."""
-    desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     best = Fraction(0)
     for span in ws.spans:
@@ -783,29 +776,51 @@ def check_bijection(
     """
     desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
-    mat = ws.materialization
-    notes = _base_notes(ws)
-    scope = _scope(window)
-    for span in ws.spans:
-        if span.piece.slope == 0:
-            q, m = span.inner_pair()
-            return CheckReport(
-                "bijection",
-                False,
-                scope,
-                Witness((q, m), (span.piece.apply(q),) * 2, "flat piece collapses a stretch"),
-                tuple(notes),
-            )
+    witness = _collision(ws)
+    if witness is not None:
+        return _report("bijection", window, ws, witness)
+    if desc.inverse is not None:
+        inv = resolve(desc.inverse)
+        # Validating the inverse's clause cover matters even when the
+        # forward side sampled no members (pure interval spaces): a member
+        # no inverse clause claims is a member the image misses.
+        inv_ws = collect_samples(inv, space, window, cap)
+        witness = _round_trip(
+            ws,
+            inv,
+            space,
+            cap,
+            "image leaves the space, cannot be onto",
+            "declared inverse does not undo the map",
+        ) or _round_trip(
+            inv_ws,
+            desc,
+            space,
+            cap,
+            "declared inverse leaves the space",
+            "map does not undo the declared inverse",
+        )
+        onto = "onto certified through the declared inverse on window members"
+        return _report("bijection", window, ws, witness, onto)
+    if not _fully_finite(space, ws):
+        raise InverseMissing("surjectivity on an infinite description needs a declared inverse")
+    # injective on the members: the image misses a member iff it differs from them
+    image = {s.value for s in ws.point_samples}
+    missing = next((s.x for s in ws.point_samples if s.x not in image), None)
+    witness = None if missing is None else Witness((missing,), (), "member missed by the image")
+    onto = "finite space: image compared with the full point set"
+    return _report("bijection", window, ws, witness, onto)
+
+
+def _collision(ws: WindowSamples) -> Optional[Witness]:
+    """The first witness of two window members with one image."""
+    witness = _slope_witness(ws, lambda slope: slope == 0, "flat piece collapses a stretch")
+    if witness is not None:
+        return witness
     seen: dict = {}
     for s in ws.point_samples:
         if s.value in seen and seen[s.value] != s.x:
-            return CheckReport(
-                "bijection",
-                False,
-                scope,
-                Witness((seen[s.value], s.x), (s.value, s.value), "two members share an image"),
-                tuple(notes),
-            )
+            return Witness((seen[s.value], s.x), (s.value, s.value), "two members share an image")
         seen[s.value] = s.x
     for a, b in combinations(ws.spans, 2):
         y = _image_overlap(a, b)
@@ -813,85 +828,33 @@ def check_bijection(
             xa = (y - a.piece.intercept) / a.piece.slope
             xb = (y - b.piece.intercept) / b.piece.slope
             if xa != xb:
-                return CheckReport(
-                    "bijection",
-                    False,
-                    scope,
-                    Witness((xa, xb), (y, y), "two pieces share an image value"),
-                    tuple(notes),
-                )
+                return Witness((xa, xb), (y, y), "two pieces share an image value")
     for s in ws.point_samples:
         for span in ws.spans:
             va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
             if min(va, vb) < s.value < max(va, vb):
                 x = (s.value - span.piece.intercept) / span.piece.slope
                 if span.lo < x < span.hi and x != s.x:
-                    return CheckReport(
-                        "bijection",
-                        False,
-                        scope,
-                        Witness((s.x, x), (s.value, s.value), "point image hit by a piece interior"),
-                        tuple(notes),
-                    )
-    if desc.inverse is not None:
-        inv = resolve(desc.inverse)
-        # Validating the inverse's clause cover matters even when the
-        # forward side sampled no members (pure interval spaces): a member
-        # no inverse clause claims is a member the image misses.
-        inv_ws = collect_samples(inv, space, window, cap)
-        for s in ws.point_samples:
-            if not _member(space, s.value, cap, mat):
-                return CheckReport(
-                    "bijection",
-                    False,
-                    scope,
-                    Witness((s.x,), (s.value,), "image leaves the space, cannot be onto"),
-                    tuple(notes),
-                )
-            back = _eval_member(inv, space, s.value, cap, mat)
-            if back != s.x:
-                return CheckReport(
-                    "bijection",
-                    False,
-                    scope,
-                    Witness((s.x,), (s.value,), "declared inverse does not undo the map"),
-                    tuple(notes),
-                )
-        for s in inv_ws.point_samples:
-            if not _member(space, s.value, cap, mat):
-                return CheckReport(
-                    "bijection",
-                    False,
-                    scope,
-                    Witness((s.x,), (s.value,), "declared inverse leaves the space"),
-                    tuple(notes),
-                )
-            if _eval_member(desc, space, s.value, cap, mat) != s.x:
-                return CheckReport(
-                    "bijection",
-                    False,
-                    scope,
-                    Witness((s.x,), (s.value,), "map does not undo the declared inverse"),
-                    tuple(notes),
-                )
-        notes.append("onto certified through the declared inverse on window members")
-        return CheckReport("bijection", True, scope, None, tuple(notes))
-    if not _fully_finite(space, ws):
-        raise InverseMissing("surjectivity on an infinite description needs a declared inverse")
-    image = sorted(s.value for s in ws.point_samples)
-    points = sorted(s.x for s in ws.point_samples)
-    if image != points:
-        image_set = set(image)
-        missing = next(p for p in points if p not in image_set)
-        return CheckReport(
-            "bijection",
-            False,
-            scope,
-            Witness((missing,), (), "member missed by the image"),
-            tuple(notes),
-        )
-    notes.append("finite space: image compared with the full point set")
-    return CheckReport("bijection", True, scope, None, tuple(notes))
+                    return Witness((s.x, x), (s.value, s.value), "point image hit by a piece interior")
+    return None
+
+
+def _round_trip(
+    ws: WindowSamples,
+    back: MapDescription,
+    space: SubspaceDescription,
+    cap: int,
+    leaves: str,
+    undo: str,
+) -> Optional[Witness]:
+    """The first point sample whose image ``leaves`` the space or is not undone by ``back``."""
+    mat = ws.materialization
+    for s in ws.point_samples:
+        if not _member(space, s.value, cap, mat):
+            return Witness((s.x,), (s.value,), leaves)
+        if _eval_member(back, space, s.value, cap, mat) != s.x:
+            return Witness((s.x,), (s.value,), undo)
+    return None
 
 
 def _image_overlap(a: PieceSpan, b: PieceSpan) -> Optional[Scalar]:
@@ -924,36 +887,16 @@ def check_isometry(
     cap: int = DEFAULT_CAP,
 ) -> CheckReport:
     """Every window pair keeps its distance exactly."""
-    desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
-    notes = _base_notes(ws)
-    scope = _scope(window)
-    for span in ws.spans:
-        if abs(span.piece.slope) != 1:
-            q, m = span.inner_pair()
-            return CheckReport(
-                "isometry",
-                False,
-                scope,
-                Witness(
-                    (q, m),
-                    (span.piece.apply(q), span.piece.apply(m)),
-                    f"piece slope {format_scalar(span.piece.slope)} is not a unit",
-                ),
-                tuple(notes),
-            )
-    if not _sweep_isometry(ws.all_samples):
-        # the sweep decides; the pair loop finds the first witness in pair order
-        for a, b in combinations(ws.all_samples, 2):
-            if _changes_distance(a, b):
-                return CheckReport(
-                    "isometry",
-                    False,
-                    scope,
-                    _member_witness((a, b), "pair changes distance", _changes_distance),
-                    tuple(notes),
-                )
-    return CheckReport("isometry", True, scope, None, tuple(notes))
+    witness = _pair_witness(
+        ws,
+        lambda slope: abs(slope) != 1,
+        "piece slope {slope} is not a unit",
+        _sweep_isometry,
+        _changes_distance,
+        "pair changes distance",
+    )
+    return _report("isometry", window, ws, witness)
 
 
 def check_between_preservation(
@@ -971,25 +914,17 @@ def check_between_preservation(
     affine on a span, so its members' images lie between the two end
     limits, and one sweep for weak monotonicity over the probe values
     decides every triple of members."""
-    desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
-    notes = _base_notes(ws)
-    scope = _scope(window)
     probes = sorted(
         ws.all_samples, key=lambda s: (s.x, 1 if s.member else 0 if s.x == s.span.hi else 2)
     )
     bad = _first_between_violation([s.value for s in probes])
+    witness = None
     if bad is not None:
-        return CheckReport(
-            "between",
-            False,
-            scope,
-            _member_witness(
-                tuple(probes[i] for i in bad), "middle point leaves the image segment", _breaks_between
-            ),
-            tuple(notes),
+        witness = _member_witness(
+            tuple(probes[i] for i in bad), "middle point leaves the image segment", _breaks_between
         )
-    return CheckReport("between", True, scope, None, tuple(notes))
+    return _report("between", window, ws, witness)
 
 
 def _breaks_between(a: Sample, b: Sample, c: Sample) -> bool:

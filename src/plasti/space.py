@@ -199,7 +199,9 @@ DEFAULT_WINDOW = Window(Fraction(-10), Fraction(10))
 # attainment and multiplicity, monotonicity, convergence and total, and
 # finiteness. An atom's gap stream is monotone; the atom states its
 # direction (`trend`) and `_Atom` derives what follows from it. `alt`
-# combines the answers of its atoms, `explicit` reads its list.
+# combines the answers of its atoms. An `explicit` side is read from its
+# list by the side locator and unfolded into points wherever gap facts
+# are asked, so it states only its finiteness and total.
 
 
 def _as_index(n: Scalar) -> tuple:
@@ -504,14 +506,15 @@ class AlternatingGaps:
         return None if None in parts else sum(parts, ZERO)
 
     def partial_floor(self, offset: Scalar) -> int:
-        """The largest n >= 0 with S(n) <= offset, by doubling and bisection."""
+        """The largest n >= 0 with S(n) <= offset, by doubling and bisection;
+        the offset must lie below the total."""
+        if offset >= self.total:
+            raise SpaceError(f"offset {format_scalar(offset)} reaches the limit of {self}")
         if self.partial(1) > offset:
             return 0
         hi = 2
         while self.partial(hi) <= offset:
             hi *= 2
-            if hi > 1 << 62:
-                raise SpaceError("gap index search ran away; inconsistent rule")
         lo = hi // 2  # S(lo) <= offset < S(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -593,35 +596,9 @@ class ExplicitGaps:
             if v <= 0:
                 raise SpaceError("gaps must be positive")
 
-    def gap(self, n: int) -> Scalar:
-        return self.values[n - 1]
-
     @property
     def total(self) -> Scalar:
         return sum(self.values, ZERO)
-
-    def partial(self, n: int) -> Optional[Scalar]:
-        return sum(self.values[:n], ZERO) if n <= len(self.values) else None
-
-    def indices_of(self, v: Scalar) -> tuple:
-        return tuple(i + 1 for i, g in enumerate(self.values) if g == v)
-
-    def count_of(self, v: Scalar) -> int:
-        return len(self.indices_of(v))
-
-    def minimum(self) -> tuple:
-        return _attained_extremum([(g, 1) for g in self.values], min)
-
-    def maximum(self) -> tuple:
-        return _attained_extremum([(g, 1) for g in self.values], max)
-
-    def monotone(self) -> dict:
-        steps = list(zip(self.values, self.values[1:]))
-        return {
-            "nondecreasing": all(a <= b for a, b in steps),
-            "nonincreasing": all(a >= b for a, b in steps),
-            "strict": any(a != b for a, b in steps),
-        }
 
     def __str__(self):
         return "explicit(" + ",".join(format_scalar(v) for v in self.values) + ")"
@@ -953,18 +930,15 @@ class Bounds:
         return self.below.bounded and self.above.bounded
 
 
-def _side_reach(program: Optional[GapProgram]) -> tuple:
-    """(kind, value) where kind in {none, finite, convergent, divergent}.
-
-    value: offset from anchor for finite/convergent sides, else None.
-    """
+def _side_bound(anchor: Scalar, program: Optional[GapProgram], sign: int) -> BoundInfo:
+    """The bound of a gap sequence on one side of its anchor: the anchor
+    when there is no side, the last member of a finite side, the limit of a
+    convergent side, which no member attains, or none for a divergent side."""
     if program is None:
-        return "none", ZERO
-    if program.finite:
-        return "finite", program.total
-    if program.converges:
-        return "convergent", program.total
-    return "divergent", None
+        return BoundInfo(True, anchor, True)
+    if program.finite or program.converges:
+        return BoundInfo(True, anchor + sign * program.total, program.finite)
+    return BoundInfo(False)
 
 
 def component_bounds(comp: Component) -> Bounds:
@@ -975,25 +949,9 @@ def component_bounds(comp: Component) -> Bounds:
         above = BoundInfo(True, comp.anchor, True) if comp.direction == LEFT else BoundInfo(False)
         return Bounds(below, above)
     if isinstance(comp, GapSequence):
-        lk, lv = _side_reach(comp.left)
-        rk, rv = _side_reach(comp.right)
-        if lk == "none":
-            below = BoundInfo(True, comp.anchor, True)
-        elif lk == "finite":
-            below = BoundInfo(True, comp.anchor - lv, True)
-        elif lk == "convergent":
-            below = BoundInfo(True, comp.anchor - lv, False)
-        else:
-            below = BoundInfo(False)
-        if rk == "none":
-            above = BoundInfo(True, comp.anchor, True)
-        elif rk == "finite":
-            above = BoundInfo(True, comp.anchor + rv, True)
-        elif rk == "convergent":
-            above = BoundInfo(True, comp.anchor + rv, False)
-        else:
-            above = BoundInfo(False)
-        return Bounds(below, above)
+        return Bounds(
+            _side_bound(comp.anchor, comp.left, -1), _side_bound(comp.anchor, comp.right, 1)
+        )
     if isinstance(comp, PeriodicIntervals):
         first = comp.interval_at(0)
         below = (
@@ -1019,17 +977,12 @@ def component_bounds(comp: Component) -> Bounds:
 
 
 def component_accumulation(comp: Component) -> tuple:
-    """Exact accumulation points contributed by one component."""
-    if isinstance(comp, GapSequence):
-        acc = []
-        lk, lv = _side_reach(comp.left)
-        if lk == "convergent":
-            acc.append(comp.anchor - lv)
-        rk, rv = _side_reach(comp.right)
-        if rk == "convergent":
-            acc.append(comp.anchor + rv)
-        return tuple(acc)
-    return ()
+    """Exact accumulation points contributed by one component: the limits of
+    its convergent gap-sequence sides, the only side bounds not attained."""
+    if not isinstance(comp, GapSequence):
+        return ()
+    b = component_bounds(comp)
+    return tuple(side.value for side in (b.below, b.above) if side.bounded and not side.attained)
 
 
 def is_bounded(space: SubspaceDescription) -> Bounds:
@@ -1713,33 +1666,18 @@ def _symbolic_spectrum(space: SubspaceDescription, cap: int) -> Optional[GapSpec
             total = _add_mult(total, t.count_of(v))
         return total
 
-    # Minimum over middle gaps and tail minima.
-    candidates = list(middle)
-    min_blocked = False
-    for t in tails:
-        m = t.minimum()
-        if m is None:
-            min_blocked = True
+    # Each extreme over the middle gaps and the tails' attained extremes; a
+    # tail whose gaps only approach their bound leaves none.
+    extremes = []
+    for pick, name in ((min, "minimum"), (max, "maximum")):
+        attained = [getattr(t, name)() for t in tails]
+        candidates = middle + [m[0] for m in attained if m is not None]
+        if None in attained or not candidates:
+            extremes.append(None)
         else:
-            candidates.append(m[0])
-    min_entry = None
-    if candidates and not min_blocked:
-        lo = min(candidates)
-        min_entry = (lo, count_of(lo))
-    elif min_blocked:
-        min_entry = None  # gaps get arbitrarily small: no minimum
-    max_blocked = False
-    candidates = list(middle)
-    for t in tails:
-        m = t.maximum()
-        if m is None:
-            max_blocked = True
-        else:
-            candidates.append(m[0])
-    max_entry = None
-    if candidates and not max_blocked:
-        hi = max(candidates)
-        max_entry = (hi, count_of(hi))
+            best = pick(candidates)
+            extremes.append((best, count_of(best)))
+    min_entry, max_entry = extremes
 
     # Complete enumeration is possible when every tail repeats finitely many
     # distinct gaps (constant atoms only).

@@ -466,8 +466,6 @@ def _atom_partial(p, n):
 def program_partial(p, n):
     if n == 0:
         return F(0)
-    if isinstance(p, ExplicitGaps):
-        return sum(p.values[:n], F(0)) if n <= len(p.values) else None
     if isinstance(p, AlternatingGaps):
         full, extra = divmod(n, len(p.atoms))
         total = F(0)
@@ -546,8 +544,6 @@ def _add(a, b):
 
 
 def program_count_of(p, v):
-    if isinstance(p, ExplicitGaps):
-        return sum(1 for g in p.values if g == v)
     if isinstance(p, AlternatingGaps):
         total = 0
         for atom in p.atoms:
@@ -557,9 +553,6 @@ def program_count_of(p, v):
 
 
 def _program_extremum(p, bound, pick):
-    if isinstance(p, ExplicitGaps):
-        m = pick(p.values)
-        return m, sum(1 for g in p.values if g == m)
     atoms = p.atoms if isinstance(p, AlternatingGaps) else (p,)
     bounds = [bound(a) for a in atoms]
     if any(isinstance(v, Infinity) for v, _, _ in bounds):
@@ -600,13 +593,6 @@ def _forall_le(f, fs, g, gs):
 
 
 def program_monotone(p):
-    if isinstance(p, ExplicitGaps):
-        vs = p.values
-        return {
-            "nondecreasing": all(a <= b for a, b in zip(vs, vs[1:])),
-            "nonincreasing": all(a >= b for a, b in zip(vs, vs[1:])),
-            "strict": any(a != b for a, b in zip(vs, vs[1:])),
-        }
     if isinstance(p, ConstantGaps) or (isinstance(p, AffineGaps) and p.slope == 0):
         return {"nondecreasing": True, "nonincreasing": True, "strict": False}
     if isinstance(p, AffineGaps):
@@ -674,8 +660,6 @@ def _gap_indices(program, value):
                     return int(n)
         return None
 
-    if isinstance(program, ExplicitGaps):
-        return tuple(i + 1 for i, g in enumerate(program.values) if g == value)
     if isinstance(program, AlternatingGaps):
         k = len(program.atoms)
         out = []
@@ -709,15 +693,16 @@ def _program_and_value(draw):
     p = draw(_programs)
     limit = len(p.values) if isinstance(p, ExplicitGaps) else 40
     n = draw(st.integers(1, limit))
+    gap = p.values[n - 1] if isinstance(p, ExplicitGaps) else p.gap(n)
     kind = draw(st.sampled_from(["hit", "near", "free", "nonpositive"]))
     if kind == "hit":
-        value = p.gap(n)
+        value = gap
     elif kind == "near":
-        value = p.gap(n) + F(1, 7 * 10**6)
+        value = gap + F(1, 7 * 10**6)
     elif kind == "free":
         value = draw(_coef)
     else:
-        value = draw(st.sampled_from([F(0), -p.gap(n)]))
+        value = draw(st.sampled_from([F(0), -gap]))
     return p, n, value
 
 
@@ -725,6 +710,9 @@ def _program_and_value(draw):
 def test_rule_methods_agree_with_the_isinstance_ladders(case):
     p, n, value = case
     assert p.finite == program_is_finite(p)
+    if p.finite:  # an explicit side states only its total; it is unfolded into points
+        assert p.total == sum(p.values, F(0))
+        return
     assert p.partial(n) == program_partial(p, n)
     assert p.count_of(value) == program_count_of(p, value)
     assert p.minimum() == program_min(p)
@@ -732,9 +720,6 @@ def test_rule_methods_agree_with_the_isinstance_ladders(case):
     assert p.monotone() == program_monotone(p)
     if p.count_of(value) != INFINITE:  # the classifier's solve covers finitely many hits
         assert p.indices_of(value) == _gap_indices(p, value)
-    if p.finite:
-        assert p.total == sum(p.values, F(0))
-        return
     assert p.converges == program_converges(p)
     assert p.total == (program_total(p) if p.converges else POS_INF)
     assert p.closed_sums == (program_partial(p, 1) is not None)
@@ -832,6 +817,17 @@ def test_closed_form_inversion_matches_bisection(case):
     # one exact partial sum settles the closed form, however large the
     # offset or the answer is
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("x", [F(10**19), F(10**30)])
+def test_alt_side_answers_far_out_like_its_atom(x):
+    # alt(const(1),const(1)) has the gaps of const(1): the same unit grid
+    unit = ConstantGaps(F(1))
+    alt = SubspaceDescription((GapSequence(F(0), right=AlternatingGaps((unit, unit))),))
+    grid = SubspaceDescription((GapSequence(F(0), right=unit),))
+    for y in (x, x + F(1, 2)):
+        assert contains(alt, y) == contains(grid, y)
+        assert successor(alt, y) == successor(grid, y)
 
 
 # -------------------------------------------------------------------
