@@ -280,7 +280,7 @@ def _matrix_payload(matrix) -> dict:
     return {
         "labels": list(matrix.labels),
         "kinds": list(matrix.kinds),
-        "rows": [[format_scalar(matrix.value(a, b)) for b in matrix.labels] for a in matrix.labels],
+        "rows": [[format_scalar(v) for v in row] for row in matrix.entries],
     }
 
 

@@ -3,6 +3,13 @@ finite sample of the line, then either close a proposed distance table
 into an honest metric (detecting where it shrinks the original
 distances) or extend through a basepoint hub so the original distances
 survive untouched.
+
+The closure and the axiom check run on the table scaled to integers by L,
+the common denominator of its entries. Every closure entry and every
+triangle side is a sum of entries, and multiplying by L > 0 keeps sums,
+signs and order, so each int comparison decides exactly what the Fraction
+comparison would. Closed entries convert back, as Fraction(v, L), once at
+the end; report text is formatted from the original entries.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 from typing import Optional
 
 from .errors import CapExceeded, InvalidMatrix, OuterMetricInvalid
@@ -139,9 +148,8 @@ class AugmentedSpace:
             raise InvalidMatrix("proposed matrix labels must cover inner and outer points")
         if len(want) != len(self.inner.labels) + len(self.outer):
             raise InvalidMatrix("inner and outer labels overlap")
-        for a, b in combinations(self.inner.labels, 2):
-            got = self.proposed.value(a, b)
-            expect = self.inner.distance(a, b)
+        for a, b, i, j, expect in _inner_pairs(self.inner, self.proposed):
+            got = self.proposed.entries[i][j]
             if got != expect:
                 raise InvalidMatrix(
                     f"proposed distance for inner pair ({a}, {b}) is "
@@ -149,6 +157,23 @@ class AugmentedSpace:
                 )
         if self.basepoint is not None and self.basepoint not in self.inner.labels:
             raise InvalidMatrix(f"basepoint {self.basepoint!r} is not an inner label")
+
+
+def _inner_pairs(inner: FiniteSpace, m: DistanceMatrix):
+    """(a, b, i, j, line distance) for every inner pair in ``combinations``
+    order, with i and j the indices of a and b in ``m``. Each label is
+    looked up once; the first inner label ``m`` lacks raises."""
+    if len(inner.labels) < 2:
+        return
+    at = [m.index(l) for l in inner.labels]
+    for (a, p, i), (b, q, j) in combinations(zip(inner.labels, inner.positions, at), 2):
+        yield a, b, i, j, abs(p - q)
+
+
+def _scaled(entries: tuple) -> tuple:
+    """(int rows, L): the entries times L, their common denominator."""
+    scale = lcm(*(v.denominator for row in entries for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in entries], scale
 
 
 # ===================================================================
@@ -200,16 +225,20 @@ def path_infimum_metric(aug: AugmentedSpace) -> ClosureResult:
     """
     m = aug.proposed
     n = len(m.labels)
-    dist = [list(row) for row in m.entries]
-    nxt = [[j for j in range(n)] for _ in range(n)]
+    dist, scale = _scaled(m.entries)
+    nxt = [list(range(n)) for _ in range(n)]
     for k in range(n):
+        row_k = dist[k]
         for i in range(n):
-            dik = dist[i][k]
+            row_i = dist[i]
+            nxt_i = nxt[i]
+            dik = row_i[k]
             for j in range(n):
-                alt = dik + dist[k][j]
-                if alt < dist[i][j]:
-                    dist[i][j] = alt
-                    nxt[i][j] = nxt[i][k]
+                alt = dik + row_k[j]
+                if alt < row_i[j]:
+                    row_i[j] = alt
+                    nxt_i[j] = nxt_i[k]
+    closed = tuple(tuple(Fraction(v, scale) for v in row) for row in dist)
 
     def chain(i: int, j: int) -> tuple:
         path = [i]
@@ -218,13 +247,12 @@ def path_infimum_metric(aug: AugmentedSpace) -> ClosureResult:
         return tuple(m.labels[p] for p in path)
 
     shrunk = []
-    for a, b in combinations(aug.inner.labels, 2):
-        i, j = m.index(a), m.index(b)
-        original = aug.inner.distance(a, b)
-        if dist[i][j] < original:
-            shrunk.append(Shrinkage((a, b), original, dist[i][j], chain(i, j)))
-    closed = DistanceMatrix(m.labels, m.kinds, tuple(tuple(r) for r in dist))
-    return ClosureResult(matrix=closed, shrinkage=tuple(shrunk))
+    for a, b, i, j, original in _inner_pairs(aug.inner, m):
+        if closed[i][j] < original:
+            shrunk.append(Shrinkage((a, b), original, closed[i][j], chain(i, j)))
+    return ClosureResult(
+        matrix=DistanceMatrix(m.labels, m.kinds, closed), shrinkage=tuple(shrunk)
+    )
 
 
 # ===================================================================
@@ -274,16 +302,19 @@ def railway_extension(
     labels = aug.inner.labels + tuple(aug.outer)
     kinds = tuple(INNER for _ in aug.inner.labels) + tuple(OUTER for _ in aug.outer)
     is_outer = {l: (l in aug.outer) for l in labels}
+    position = dict(zip(aug.inner.labels, aug.inner.positions))
+    hub = {l: dict(zip(outer_metric.labels, row))
+           for l, row in zip(outer_metric.labels, outer_metric.entries)}
 
     def d(a: str, b: str) -> Scalar:
         if a == b:
             return Fraction(0)
         if not is_outer[a] and not is_outer[b]:
-            return aug.inner.distance(a, b)
+            return abs(position[a] - position[b])
         if is_outer[a] and is_outer[b]:
-            return outer_metric.value(a, b)
+            return hub[a][b]
         x, p = (a, b) if is_outer[b] else (b, a)
-        return aug.inner.distance(x, x0) + outer_metric.value(x0, p)
+        return abs(position[x] - position[x0]) + hub[x0][p]
 
     entries = tuple(tuple(d(a, b) for b in labels) for a in labels)
     return DistanceMatrix(labels, kinds, entries)
@@ -319,8 +350,9 @@ def check_metric_axioms(m: DistanceMatrix) -> AxiomReport:
     """Verify non-degeneracy, positivity, symmetry and every triangle."""
     bad = []
     n = len(m.labels)
+    rows, _ = _scaled(m.entries)
     for i in range(n):
-        if m.entries[i][i] != 0:
+        if rows[i][i] != 0:
             bad.append(
                 AxiomViolation(
                     "non-degeneracy",
@@ -329,7 +361,7 @@ def check_metric_axioms(m: DistanceMatrix) -> AxiomReport:
                 )
             )
         for j in range(i + 1, n):
-            if m.entries[i][j] != m.entries[j][i]:
+            if rows[i][j] != rows[j][i]:
                 bad.append(
                     AxiomViolation(
                         "symmetry",
@@ -337,7 +369,7 @@ def check_metric_axioms(m: DistanceMatrix) -> AxiomReport:
                         f"{format_scalar(m.entries[i][j])} vs {format_scalar(m.entries[j][i])}",
                     )
                 )
-            if m.entries[i][j] <= 0:
+            if rows[i][j] <= 0:
                 bad.append(
                     AxiomViolation(
                         "positivity",
@@ -345,19 +377,23 @@ def check_metric_axioms(m: DistanceMatrix) -> AxiomReport:
                         format_scalar(m.entries[i][j]),
                     )
                 )
+    cols = [list(col) for col in zip(*rows)]
     for i in range(n):
+        row_i = rows[i]
         for j in range(i + 1, n):
+            lhs, col_j = row_i[j], cols[j]
+            # the minimum over every k is at most the one over k not in (i, j)
+            if lhs <= min(map(add, row_i, col_j)):
+                continue
             for k in range(n):
                 if k in (i, j):
                     continue
-                lhs = m.entries[i][j]
-                rhs = m.entries[i][k] + m.entries[k][j]
-                if lhs > rhs:
+                if lhs > row_i[k] + col_j[k]:
                     bad.append(
                         AxiomViolation(
                             "triangle",
                             (m.labels[i], m.labels[k], m.labels[j]),
-                            f"{format_scalar(lhs)} > {format_scalar(m.entries[i][k])} "
+                            f"{format_scalar(m.entries[i][j])} > {format_scalar(m.entries[i][k])} "
                             f"+ {format_scalar(m.entries[k][j])}",
                         )
                     )
@@ -383,9 +419,8 @@ class RestrictionReport:
 def check_restriction(m: DistanceMatrix, inner: FiniteSpace) -> RestrictionReport:
     """Pass iff the matrix reproduces the inner line distances exactly."""
     bad = []
-    for a, b in combinations(inner.labels, 2):
-        want = inner.distance(a, b)
-        got = m.value(a, b)
+    for a, b, i, j, want in _inner_pairs(inner, m):
+        got = m.entries[i][j]
         if got != want:
             bad.append((a, b, want, got))
     return RestrictionReport(passed=not bad, mismatches=tuple(bad))

@@ -5,11 +5,18 @@ as the reference the symbolic machinery is tested against. Point counts
 are capped: bijection search backtracks over permutations, the
 expansion-witness search over all self-maps prunes on the first
 contracted pair (a would-be witness must contract nothing).
+
+Both searches place point indices and compare cells of one int table,
+|p_i - p_j| * L with L the common denominator of the points. Every test
+in them compares two distances, and multiplying both by L > 0 keeps their
+order, so the table decides exactly what Fraction arithmetic would. Index
+tuples become tuples of the input points only at the leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceeded
@@ -35,45 +42,54 @@ def _check_points(points: Sequence[Scalar], cap: int, hard: int, what: str) -> t
     return pts
 
 
-def nonexpansive_bijections(
-    points: Sequence[Scalar], cap: int = BIJECTION_CAP
-) -> tuple:
-    """All bijective non-expansive self-maps, as image tuples aligned with
-    the sorted input points."""
-    pts = _check_points(points, cap, BIJECTION_HARD_CAP, "bijection search")
-    n = len(pts)
+def _distances(pts: tuple) -> list:
+    """Rows of the int table |p_i - p_j| * L, L the common denominator."""
+    scale = lcm(*(p.denominator for p in pts))
+    ints = [p.numerator * (scale // p.denominator) for p in pts]
+    return [[abs(a - b) for b in ints] for a in ints]
+
+
+def _bijections(d: list) -> list:
+    """Index tuples s, i -> s[i], of the non-expansive bijections of the
+    table ``d``, in the order the backtracking search places them."""
+    n = len(d)
     out = []
-    image = [None] * n
+    image = [0] * n
     used = [False] * n
 
     def place(i: int):
         if i == n:
             out.append(tuple(image))
             return
+        row_i = d[i]
         for j in range(n):
             if used[j]:
                 continue
-            q = pts[j]
-            if all(
-                abs(q - image[k]) <= abs(pts[i] - pts[k]) for k in range(i)
-            ):
+            row_j = d[j]
+            for k in range(i):
+                if row_j[image[k]] > row_i[k]:
+                    break
+            else:
                 used[j] = True
-                image[i] = q
+                image[i] = j
                 place(i + 1)
                 used[j] = False
-        image[i] = None
 
     place(0)
-    return tuple(out)
+    return out
 
 
-def _is_isometry(pts: tuple, image: tuple) -> bool:
-    n = len(pts)
-    return all(
-        abs(image[i] - image[j]) == abs(pts[i] - pts[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+def nonexpansive_bijections(
+    points: Sequence[Scalar], cap: int = BIJECTION_CAP
+) -> tuple:
+    """All bijective non-expansive self-maps, as image tuples aligned with
+    the sorted input points."""
+    pts = _check_points(points, cap, BIJECTION_HARD_CAP, "bijection search")
+    return tuple(tuple(pts[j] for j in s) for s in _bijections(_distances(pts)))
+
+
+def _is_isometry(d: list, s: tuple) -> bool:
+    return all([d[a][b] for b in s] == d[i] for i, a in enumerate(s))
 
 
 @dataclass(frozen=True)
@@ -97,46 +113,46 @@ class PlasticVerdict:
 def plastic_bruteforce(points: Sequence[Scalar], cap: int = BIJECTION_CAP) -> PlasticVerdict:
     """Is every non-expansive bijection an isometry? Enumerated exactly."""
     pts = _check_points(points, cap, BIJECTION_HARD_CAP, "bijection search")
-    maps = nonexpansive_bijections(pts, cap)
-    isometries = sum(1 for image in maps if _is_isometry(pts, image))
-    witness = next((image for image in maps if not _is_isometry(pts, image)), None)
+    d = _distances(pts)
+    maps = _bijections(d)
+    bent = [s for s in maps if not _is_isometry(d, s)]
     return PlasticVerdict(
         points=pts,
         bijections=len(maps),
-        isometries=isometries,
-        plastic=witness is None,
-        witness=witness,
+        isometries=len(maps) - len(bent),
+        plastic=not bent,
+        witness=tuple(pts[j] for j in bent[0]) if bent else None,
     )
 
 
-def _noncontracting_maps(pts: tuple) -> Iterator[tuple]:
-    """All self-maps that contract no pair, with an expansion flag.
+def _noncontracting_maps(d: list) -> Iterator[tuple]:
+    """All self-maps of the table ``d`` that contract no pair, as index
+    tuples with an expansion flag.
 
     Yields (image, expanded). Pruning: a prefix that already contracts a
     pair can never become a witness, so the branch dies immediately.
     """
-    n = len(pts)
-    image = [None] * n
+    n = len(d)
+    image = [0] * n
 
     def place(i: int, expanded: bool):
         if i == n:
             yield tuple(image), expanded
             return
-        for q in pts:
+        row_i = d[i]
+        for j in range(n):
+            row_j = d[j]
             grew = expanded
-            ok = True
             for k in range(i):
-                d_new = abs(q - image[k])
-                d_old = abs(pts[i] - pts[k])
+                d_new = row_j[image[k]]
+                d_old = row_i[k]
                 if d_new < d_old:
-                    ok = False
                     break
                 if d_new > d_old:
                     grew = True
-            if ok:
-                image[i] = q
+            else:
+                image[i] = j
                 yield from place(i + 1, grew)
-        image[i] = None
 
     yield from place(0, False)
 
@@ -176,10 +192,10 @@ def strongly_plastic_bruteforce(
     pts = _check_points(points, cap, SELFMAP_HARD_CAP, "self-map search")
     count = 0
     witness = None
-    for image, expanded in _noncontracting_maps(pts):
+    for image, expanded in _noncontracting_maps(_distances(pts)):
         count += 1
         if expanded and witness is None:
-            witness = image
+            witness = tuple(pts[j] for j in image)
     return StrongPlasticVerdict(
         points=pts,
         noncontracting=count,

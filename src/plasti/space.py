@@ -1487,10 +1487,8 @@ def _component_next(comp: Component, x: Scalar, cap: int, toward: int):
             continue
         stops = _side_stops(comp.anchor, program, sign, offset, not outward, cap)
         if stops.count is None:
-            # the text names the search that predecessor mirrors, at -x
-            raise RuleDivergence(
-                f"successor search for {format_scalar(toward * x)} exceeded {cap} steps"
-            )
+            search = "successor" if toward > 0 else "predecessor"
+            raise RuleDivergence(f"{search} search for {format_scalar(x)} exceeded {cap} steps")
         n = stops.count + 1 if outward else stops.count
         cand = stops.point(n) if n else None
         if cand is not None and (best is None or nearer(cand, best)):

@@ -3,21 +3,27 @@
 The closure models the infimum over finite chains exactly (shortest path
 on the proposed table); the basepoint form routes every inner-outer
 distance through one hub. Expected numbers were computed by hand from
-those two definitions.
+those two definitions. The closure and the axiom check run on int rows;
+the Fraction loops they replaced are kept below as their reference.
 """
 
+import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plasti.errors import InvalidMatrix, OuterMetricInvalid
 from plasti.extend import (
     INNER,
     OUTER,
     AugmentedSpace,
+    AxiomReport,
+    AxiomViolation,
     DistanceMatrix,
     FiniteSpace,
+    Shrinkage,
     check_metric_axioms,
     check_restriction,
     discrete_metric,
@@ -25,6 +31,7 @@ from plasti.extend import (
     path_infimum_metric,
     railway_extension,
 )
+from plasti.scalar import format_scalar
 
 
 def bridge_instance() -> AugmentedSpace:
@@ -288,3 +295,169 @@ def test_railway_output_is_always_a_metric_extension(aug):
     out = railway_extension(aug)
     assert check_metric_axioms(out).passed
     assert check_restriction(out, aug.inner).passed
+
+
+# -------------------------------------------------------------------
+# The scaled-int kernels against the Fraction loops they replace
+# -------------------------------------------------------------------
+
+
+def reference_closure(aug: AugmentedSpace) -> tuple:
+    """Closed entries and shrinkage from the Fraction Floyd–Warshall and
+    shrink loop that ``path_infimum_metric`` used before its int rows."""
+    m = aug.proposed
+    n = len(m.labels)
+    dist = [list(row) for row in m.entries]
+    nxt = [[j for j in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            dik = dist[i][k]
+            for j in range(n):
+                alt = dik + dist[k][j]
+                if alt < dist[i][j]:
+                    dist[i][j] = alt
+                    nxt[i][j] = nxt[i][k]
+
+    def chain(i: int, j: int) -> tuple:
+        path = [i]
+        while path[-1] != j:
+            path.append(nxt[path[-1]][j])
+        return tuple(m.labels[p] for p in path)
+
+    shrunk = []
+    for a, b in combinations(aug.inner.labels, 2):
+        i, j = m.index(a), m.index(b)
+        original = aug.inner.distance(a, b)
+        if dist[i][j] < original:
+            shrunk.append(Shrinkage((a, b), original, dist[i][j], chain(i, j)))
+    return tuple(tuple(r) for r in dist), tuple(shrunk)
+
+
+def reference_axioms(m: DistanceMatrix) -> AxiomReport:
+    """The Fraction loop ``check_metric_axioms`` used before its int rows."""
+    bad = []
+    n = len(m.labels)
+    for i in range(n):
+        if m.entries[i][i] != 0:
+            bad.append(
+                AxiomViolation(
+                    "non-degeneracy", (m.labels[i],), f"self-distance {format_scalar(m.entries[i][i])}"
+                )
+            )
+        for j in range(i + 1, n):
+            if m.entries[i][j] != m.entries[j][i]:
+                bad.append(
+                    AxiomViolation(
+                        "symmetry",
+                        (m.labels[i], m.labels[j]),
+                        f"{format_scalar(m.entries[i][j])} vs {format_scalar(m.entries[j][i])}",
+                    )
+                )
+            if m.entries[i][j] <= 0:
+                bad.append(
+                    AxiomViolation(
+                        "positivity", (m.labels[i], m.labels[j]), format_scalar(m.entries[i][j])
+                    )
+                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k in (i, j):
+                    continue
+                lhs = m.entries[i][j]
+                rhs = m.entries[i][k] + m.entries[k][j]
+                if lhs > rhs:
+                    bad.append(
+                        AxiomViolation(
+                            "triangle",
+                            (m.labels[i], m.labels[k], m.labels[j]),
+                            f"{format_scalar(lhs)} > {format_scalar(m.entries[i][k])} "
+                            f"+ {format_scalar(m.entries[k][j])}",
+                        )
+                    )
+    return AxiomReport(passed=not bad, violations=tuple(bad))
+
+
+# Small denominators mix into common denominators up to lcm(1..60); the
+# primes make L huge and every scaled entry a big int.
+denominators = st.one_of(
+    st.integers(min_value=1, max_value=60), st.sampled_from((10_007, 1_000_003, 2**61 - 1))
+)
+
+
+@st.composite
+def mixed_fractions(draw, lo, hi):
+    den = draw(denominators)
+    return F(draw(st.integers(min_value=math.ceil(lo * den), max_value=hi * den)), den)
+
+
+@st.composite
+def augmented(draw, positions, outer_entries):
+    """Inner labels at the drawn positions, outer labels with the drawn
+    entries; inner pairs get their line distance."""
+    pos = sorted(set(draw(positions)))
+    n_outer = draw(st.integers(min_value=1, max_value=4))
+    inner = FiniteSpace(tuple(f"i{k}" for k in range(len(pos))), tuple(pos))
+    outer = tuple(f"o{k}" for k in range(n_outer))
+    labels = inner.labels + outer
+    pairs = {}
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            if b in inner.labels:
+                pairs[(a, b)] = inner.distance(a, b)
+            else:
+                pairs[(a, b)] = draw(outer_entries)
+    kinds = (INNER,) * len(pos) + (OUTER,) * n_outer
+    proposed = matrix_from_pairs(labels, kinds, pairs)
+    # shuffle the rows so inner and outer labels interleave in the table
+    order = draw(st.permutations(range(len(labels))))
+    proposed = DistanceMatrix(
+        tuple(labels[i] for i in order),
+        tuple(kinds[i] for i in order),
+        tuple(tuple(proposed.entries[i][j] for j in order) for i in order),
+    )
+    return AugmentedSpace(inner=inner, outer=outer, proposed=proposed)
+
+
+mixed_augmented = augmented(
+    st.lists(mixed_fractions(-20, 20), min_size=1, max_size=5),
+    mixed_fractions(F(1, 60), 30),
+)
+# Inner points at least 8 apart and outer entries 1 to 3: most inner pairs
+# shrink, through several chains of the same length.
+tied_augmented = augmented(
+    st.lists(st.integers(min_value=0, max_value=6).map(lambda k: F(8 * k)), min_size=2, max_size=5),
+    st.integers(min_value=1, max_value=3).map(F),
+)
+
+
+@st.composite
+def hub_tables(draw):
+    """A hub label h with short spokes; the other entries are drawn freely
+    and often exceed the two spokes that join their ends, so triangles
+    break."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    labels = ("h",) + tuple(f"x{k}" for k in range(1, n))
+    pairs = {}
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            pairs[(a, b)] = draw(mixed_fractions(F(1, 60), 3 if a == "h" else 10))
+    return matrix_from_pairs(labels, (OUTER,) * n, pairs)
+
+
+@given(st.one_of(mixed_augmented, tied_augmented))
+@settings(max_examples=150)
+def test_closure_equals_the_fraction_loop(aug):
+    result = path_infimum_metric(aug)
+    entries, shrinkage = reference_closure(aug)
+    assert result.matrix.entries == entries
+    assert result.shrinkage == shrinkage
+    assert check_metric_axioms(result.matrix) == reference_axioms(result.matrix)
+
+
+@given(st.one_of(hub_tables(), mixed_augmented.map(lambda aug: aug.proposed)))
+@settings(max_examples=150)
+def test_axiom_report_equals_the_fraction_loop(m):
+    report = check_metric_axioms(m)
+    assert report == reference_axioms(m)
+    assert report.render() == reference_axioms(m).render()

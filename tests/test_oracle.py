@@ -5,16 +5,22 @@ the oracles are confirmatory ground truth; what is worth testing is that
 the enumeration counts are exactly right and the caps hold. Expected
 bijection counts below were derived by hand: a finite set of reals admits
 as non-expansive bijections exactly the identity, plus the full reflection
-when the gap sequence is palindromic.
+when the gap sequence is palindromic. Both searches run on an int distance
+table; the Fraction searches they replaced are kept below as their
+reference.
 """
 
+import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plasti.errors import CapExceeded
 from plasti.oracle import (
+    PlasticVerdict,
+    StrongPlasticVerdict,
     nonexpansive_bijections,
     plastic_bruteforce,
     strongly_plastic_bruteforce,
@@ -127,3 +133,132 @@ def test_bijection_count_is_mirror_invariant(values):
     base = tuple(sorted(values))
     mirrored = tuple(sorted(-v for v in base))
     assert plastic_bruteforce(base).bijections == plastic_bruteforce(mirrored).bijections
+
+
+# -------------------------------------------------------------------
+# The int-table searches against the Fraction searches they replace
+# -------------------------------------------------------------------
+
+
+def reference_bijections(pts: tuple) -> tuple:
+    """The Fraction backtracking of ``nonexpansive_bijections`` before the
+    int table."""
+    n = len(pts)
+    out = []
+    image = [None] * n
+    used = [False] * n
+
+    def place(i: int):
+        if i == n:
+            out.append(tuple(image))
+            return
+        for j in range(n):
+            if used[j]:
+                continue
+            q = pts[j]
+            if all(abs(q - image[k]) <= abs(pts[i] - pts[k]) for k in range(i)):
+                used[j] = True
+                image[i] = q
+                place(i + 1)
+                used[j] = False
+        image[i] = None
+
+    place(0)
+    return tuple(out)
+
+
+def reference_is_isometry(pts: tuple, image: tuple) -> bool:
+    n = len(pts)
+    return all(
+        abs(image[i] - image[j]) == abs(pts[i] - pts[j]) for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def reference_plastic(pts: tuple) -> PlasticVerdict:
+    maps = reference_bijections(pts)
+    isometries = sum(1 for image in maps if reference_is_isometry(pts, image))
+    witness = next((image for image in maps if not reference_is_isometry(pts, image)), None)
+    return PlasticVerdict(
+        points=pts,
+        bijections=len(maps),
+        isometries=isometries,
+        plastic=witness is None,
+        witness=witness,
+    )
+
+
+def reference_strong(pts: tuple) -> StrongPlasticVerdict:
+    """The Fraction self-map search of ``strongly_plastic_bruteforce``."""
+    n = len(pts)
+    image = [None] * n
+
+    def place(i: int, expanded: bool):
+        if i == n:
+            yield tuple(image), expanded
+            return
+        for q in pts:
+            grew = expanded
+            ok = True
+            for k in range(i):
+                d_new = abs(q - image[k])
+                d_old = abs(pts[i] - pts[k])
+                if d_new < d_old:
+                    ok = False
+                    break
+                if d_new > d_old:
+                    grew = True
+            if ok:
+                image[i] = q
+                yield from place(i + 1, grew)
+        image[i] = None
+
+    count = 0
+    witness = None
+    for found, expanded in place(0, False):
+        count += 1
+        if expanded and witness is None:
+            witness = found
+    return StrongPlasticVerdict(
+        points=pts, noncontracting=count, strongly_plastic=witness is None, witness=witness
+    )
+
+
+# Small denominators mix into common denominators up to lcm(1..60); the
+# primes make the common denominator huge.
+denominators = st.one_of(
+    st.integers(min_value=1, max_value=60), st.sampled_from((10_007, 1_000_003, 2**61 - 1))
+)
+
+
+@st.composite
+def mixed_fractions(draw, lo, hi):
+    den = draw(denominators)
+    return F(draw(st.integers(min_value=math.ceil(lo * den), max_value=hi * den)), den)
+
+
+@st.composite
+def point_sets(draw, max_size):
+    """Sorted points from a start at or below zero; the gap sequence is a
+    palindrome half the time, so the reflection is a bijection too."""
+    n = draw(st.integers(min_value=2, max_value=max_size))
+    start = draw(mixed_fractions(-50, 0))
+    gap = mixed_fractions(F(1, 60), 10)
+    if draw(st.booleans()):
+        half = draw(st.lists(gap, min_size=(n - 1) // 2, max_size=(n - 1) // 2))
+        gaps = half + ([draw(gap)] if (n - 1) % 2 else []) + half[::-1]
+    else:
+        gaps = draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
+    return tuple(accumulate(gaps, initial=start))
+
+
+@given(point_sets(6))
+@settings(max_examples=150)
+def test_bijection_search_equals_the_fraction_search(pts):
+    assert nonexpansive_bijections(pts) == reference_bijections(pts)
+    assert plastic_bruteforce(pts) == reference_plastic(pts)
+
+
+@given(point_sets(5))
+@settings(max_examples=80)
+def test_selfmap_search_equals_the_fraction_search(pts):
+    assert strongly_plastic_bruteforce(pts) == reference_strong(pts)

@@ -9,7 +9,8 @@ here with a reference kept below: ``walked_side_points``, the per-step
 walk of a side; ``reference_side_member``, ``reference_next_above`` and
 ``reference_successor``, membership and the successor search with their
 own explicit, closed-sum and walked branches; and ``reference_predecessor``,
-the successor search on the mirror image ``mirrored(space)``. Errors are
+the successor search on the mirror image ``mirrored(space)``, whose
+exhausted walk is reworded as the predecessor search at x. Errors are
 compared by type and text.
 """
 
@@ -243,7 +244,15 @@ def mirrored(space):
 
 
 def reference_predecessor(space, x, cap):
-    s = reference_successor(mirrored(space), -x, cap)
+    try:
+        s = reference_successor(mirrored(space), -x, cap)
+    except RuleDivergence as err:
+        # the mirrored walk names the successor search at -x
+        if str(err) != f"successor search for {format_scalar(-x)} exceeded {cap} steps":
+            raise
+        raise RuleDivergence(
+            f"predecessor search for {format_scalar(x)} exceeded {cap} steps"
+        ) from None
     return None if s is None else -s
 
 
@@ -462,6 +471,16 @@ def test_membership_and_adjacency_match_the_references(case, offsets):
             )
         assert outcome(successor, space, x, cap) == outcome(reference_successor, space, x, cap)
         assert outcome(predecessor, space, x, cap) == outcome(reference_predecessor, space, x, cap)
+
+
+def test_an_exhausted_predecessor_walk_names_its_own_search():
+    # recip has no closed partial sums, so the left side is walked; three
+    # steps do not reach -5
+    space = SubspaceDescription((GapSequence(F(0), left=ReciprocalGaps(F(0))),))
+    assert outcome(predecessor, space, F(-5), 3) == (
+        "RuleDivergence",
+        "predecessor search for -5 exceeded 3 steps",
+    )
 
 
 def shift_maps(space, steps, restriction=None):
