@@ -12,11 +12,12 @@ failed check or expectation, 2 for usage, parse or limit errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .classify import classify, verify_witness
 from .errors import CapExceeded, ParseError, PlastiError
@@ -83,11 +84,12 @@ def _read(path: str) -> str:
         raise PlastiError(f"cannot read {path}: byte {err.start} is not UTF-8") from None
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the report in the mode asked for; only that mode's builder runs."""
+    if args.json:
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _witness_payload(witness) -> Optional[dict]:
@@ -120,52 +122,62 @@ def _cmd_check(args) -> int:
     desc = parse_map(_read(args.map))
     if args.which == "lipschitz":
         bound, notes = lipschitz_upper(desc, space, args.window, args.cap)
-        text = f"lipschitz bound {format_scalar(bound)} on window {args.window}"
-        text += "".join(f"\n  note: {n}" for n in notes)
-        _emit(args, {"command": "check", "which": "lipschitz",
-                     "bound": format_scalar(bound), "notes": list(notes),
-                     "window": str(args.window)}, text)
+        _emit(
+            args,
+            lambda: {"command": "check", "which": "lipschitz", "bound": format_scalar(bound),
+                     "notes": list(notes), "window": str(args.window)},
+            lambda: f"lipschitz bound {format_scalar(bound)} on window {args.window}"
+            + "".join(f"\n  note: {n}" for n in notes),
+        )
         return PASS
     report = _CHECKS[args.which](desc, space, args.window, args.cap)
-    payload = {"command": "check", "which": args.which}
-    payload.update(_report_payload(report))
-    _emit(args, payload, report.render())
+    _emit(
+        args,
+        lambda: {"command": "check", "which": args.which, **_report_payload(report)},
+        report.render,
+    )
     return PASS if report.passed else FAIL
 
 
 def _cmd_classify(args) -> int:
     space = parse_space(_read(args.space))
     verdict = classify(space, args.window, args.cap)
-    lines = [verdict.render()]
-    payload = {
-        "command": "classify",
-        "outcome": verdict.outcome,
-        "rule": verdict.rule,
-        "reason": verdict.reason,
-        "rigidity": verdict.rigidity,
-        "window": str(args.window),
-        "trace": [
-            {"rule": s.rule, "summary": s.summary, "matched": s.matched, "detail": s.detail}
-            for s in verdict.trace
-        ],
-        "falsifications": [
-            {"name": a.name, "outcome": a.outcome} for a in verdict.falsifications
-        ],
-        "witness": None,
-        "witness_verification": None,
-    }
+    grammar = verification = None
     if verdict.witness is not None:
         grammar = render_map(verdict.witness)
         verification = verify_witness(space, verdict.witness, args.window, args.cap)
-        lines.append("witness map:")
-        lines.extend("  " + l for l in grammar.strip().splitlines())
-        lines.append(verification.render())
-        payload["witness"] = grammar
-        payload["witness_verification"] = {
-            "valid": verification.valid,
-            "reports": [_report_payload(r) for r in verification.reports],
+
+    def payload() -> dict:
+        return {
+            "command": "classify",
+            "outcome": verdict.outcome,
+            "rule": verdict.rule,
+            "reason": verdict.reason,
+            "rigidity": verdict.rigidity,
+            "window": str(args.window),
+            "trace": [
+                {"rule": s.rule, "summary": s.summary, "matched": s.matched, "detail": s.detail}
+                for s in verdict.trace
+            ],
+            "falsifications": [
+                {"name": a.name, "outcome": a.outcome} for a in verdict.falsifications
+            ],
+            "witness": grammar,
+            "witness_verification": None if verification is None else {
+                "valid": verification.valid,
+                "reports": [_report_payload(r) for r in verification.reports],
+            },
         }
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        lines = [verdict.render()]
+        if verification is not None:
+            lines.append("witness map:")
+            lines.extend("  " + l for l in grammar.strip().splitlines())
+            lines.append(verification.render())
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return PASS
 
 
@@ -205,25 +217,24 @@ def _cmd_oracle(args) -> int:
         cap = SELFMAP_CAP if args.strong else BIJECTION_CAP
     if args.strong:
         verdict = strongly_plastic_bruteforce(points, cap)
-        payload = {
-            "command": "oracle",
-            "strong": True,
-            "points": [format_scalar(p) for p in points],
+        counts = {
             "selfmaps": verdict.total_selfmaps,
             "noncontracting": verdict.noncontracting,
             "strongly_plastic": verdict.strongly_plastic,
         }
     else:
         verdict = plastic_bruteforce(points, cap)
-        payload = {
-            "command": "oracle",
-            "strong": False,
-            "points": [format_scalar(p) for p in points],
+        counts = {
             "bijections": verdict.bijections,
             "isometries": verdict.isometries,
             "plastic": verdict.plastic,
         }
-    _emit(args, payload, verdict.render())
+    _emit(
+        args,
+        lambda: {"command": "oracle", "strong": args.strong,
+                 "points": [format_scalar(p) for p in points], **counts},
+        verdict.render,
+    )
     return PASS
 
 
@@ -246,33 +257,35 @@ def _cmd_plot(args) -> int:
 
 def _cmd_gallery(args) -> int:
     if args.id == "list":
-        text = "\n".join(
-            f"{eid}: {gallery_entry(eid).summary}" for eid in GALLERY_IDS
+        _emit(
+            args,
+            lambda: {"command": "gallery", "ids": list(GALLERY_IDS)},
+            lambda: "\n".join(f"{eid}: {gallery_entry(eid).summary}" for eid in GALLERY_IDS),
         )
-        _emit(args, {"command": "gallery", "ids": list(GALLERY_IDS)}, text)
         return PASS
     entry = gallery_entry(args.id)
     if not args.verify:
-        text = f"{entry.id}: {entry.summary}\nmaps: " + (
-            ", ".join(n for n, _ in entry.maps) if entry.maps else "(none)"
-        )
         _emit(
             args,
-            {"command": "gallery", "id": entry.id, "summary": entry.summary,
-             "maps": [n for n, _ in entry.maps], "window": str(entry.window)},
-            text,
+            lambda: {"command": "gallery", "id": entry.id, "summary": entry.summary,
+                     "maps": [n for n, _ in entry.maps], "window": str(entry.window)},
+            lambda: f"{entry.id}: {entry.summary}\nmaps: "
+            + (", ".join(n for n, _ in entry.maps) if entry.maps else "(none)"),
         )
         return PASS
     report = verify_entry(entry)
-    payload = {
-        "command": "gallery",
-        "id": entry.id,
-        "passed": report.passed,
-        "expectations": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results
-        ],
-    }
-    _emit(args, payload, report.render())
+    _emit(
+        args,
+        lambda: {
+            "command": "gallery",
+            "id": entry.id,
+            "passed": report.passed,
+            "expectations": [
+                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results
+            ],
+        },
+        report.render,
+    )
     return PASS if report.passed else FAIL
 
 
@@ -295,21 +308,25 @@ def _cmd_extend(args) -> int:
         shrinkage = []
     axioms = check_metric_axioms(matrix)
     restriction = check_restriction(matrix, aug.inner)
-    lines = [matrix.render(), axioms.render(), restriction.render()]
-    lines.extend(s.render() for s in shrinkage)
-    payload = {
-        "command": "extend",
-        "mode": args.mode,
-        "matrix": _matrix_payload(matrix),
-        "axioms_pass": axioms.passed,
-        "restriction_pass": restriction.passed,
-        "shrinkage": [
-            {"pair": list(s.pair), "original": format_scalar(s.original),
-             "closed": format_scalar(s.closed), "chain": list(s.chain)}
-            for s in shrinkage
-        ],
-    }
-    _emit(args, payload, "\n".join(lines))
+    _emit(
+        args,
+        lambda: {
+            "command": "extend",
+            "mode": args.mode,
+            "matrix": _matrix_payload(matrix),
+            "axioms_pass": axioms.passed,
+            "restriction_pass": restriction.passed,
+            "shrinkage": [
+                {"pair": list(s.pair), "original": format_scalar(s.original),
+                 "closed": format_scalar(s.closed), "chain": list(s.chain)}
+                for s in shrinkage
+            ],
+        },
+        lambda: "\n".join(
+            [matrix.render(), axioms.render(), restriction.render()]
+            + [s.render() for s in shrinkage]
+        ),
+    )
     return PASS
 
 
@@ -328,14 +345,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(ERROR, f"{self.prog}: {_one_line(message)}\n")
 
 
+@functools.cache  # one tree per process, built on the first main() call
 def _build_parser() -> _Parser:
-    top = _Parser(prog="plasti", description=__doc__.splitlines()[0])
+    # a literal, not __doc__, which python -OO strips
+    top = _Parser(prog="plasti", description="Command-line front end.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, window=True):
-        if window:
-            p.add_argument("--window", type=_parse_window, default=Window(Fraction(-10), Fraction(10)),
-                           help="verification window LO..HI (default -10..10)")
+    def common(p):
+        p.add_argument("--window", type=_parse_window, default=Window(Fraction(-10), Fraction(10)),
+                       help="verification window LO..HI (default -10..10)")
         p.add_argument("--cap", type=_parse_cap, default=DEFAULT_CAP,
                        help="enumeration cap near accumulation points (at least 1)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")

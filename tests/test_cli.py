@@ -1,15 +1,25 @@
 """Command-line surface: exit codes, report text, JSON payloads."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plasti
+from plasti import cli
+from plasti.classify import Verdict, WitnessVerification
 from plasti.cli import main
+from plasti.extend import AxiomReport, DistanceMatrix, RestrictionReport, Shrinkage
+from plasti.maps import CheckReport
+from plasti.oracle import PlasticVerdict, StrongPlasticVerdict
 
 
 INTEGERS = (
@@ -386,6 +396,96 @@ def test_a_cap_below_one_is_refused_while_parsing(files, cap, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"plasti classify: argument --cap: cap must be at least 1, got {cap}\n"
+
+
+# -------------------------------------------------------------------
+# one parser per process, and only the report asked for
+# -------------------------------------------------------------------
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _report_calls(files):
+    space = files("s.sp", INTEGERS)
+    check = ["check", "--space", space, "--map", files("m.mp", SQUEEZE), "--which", "nonexpansive"]
+    calls = [
+        check + ["--window=-3..3"],
+        check,
+        ["classify", "--space", files("g.sp", GROWING)],
+        ["oracle", "--points", "0,1,3"],
+        ["oracle", "--points", "0,1,2", "--strong"],
+        ["gallery", "unit-interval-grid", "--verify"],
+        ["extend", files("m.dm", MATRIX)],
+        ["extend", files("m.dm", MATRIX), "--mode", "railway"],
+    ]
+    return [argv + mode for argv in calls for mode in (["--json"], [])]
+
+
+def test_a_reused_parser_answers_like_a_fresh_one(files):
+    helps = [["--help"]] + [[sub, "--help"] for sub in
+                            ("check", "classify", "oracle", "plot", "gallery", "extend")]
+    usage = [["frobnicate"], ["classify", "--space", files("s.sp", INTEGERS), "--cap", "0"]]
+    sequence = helps + usage + _report_calls(files)
+    cli._build_parser.cache_clear()
+    reused = [_call(argv) for argv in sequence]
+    # fresh calls in reverse order, so that state one call leaves behind
+    # meets a different next call
+    fresh = []
+    for argv in reversed(sequence):
+        cli._build_parser.cache_clear()
+        fresh.append(_call(argv))
+    for argv, got, want in zip(sequence, reused, reversed(fresh)):
+        assert got == want, argv
+
+
+def test_the_second_call_builds_no_parser(monkeypatch, capsys):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    cli._build_parser.cache_clear()
+    assert main(["oracle", "--points", "0,1,3"]) == 0
+    assert added
+    added.clear()
+    assert main(["gallery", "list", "--json"]) == 0
+    assert added == []
+
+
+def test_json_mode_renders_no_text(files, monkeypatch):
+    # gallery verification renders check reports into its expectations
+    calls = [argv for argv in _report_calls(files) if "--json" in argv and argv[0] != "gallery"]
+    before = [_call(argv) for argv in calls]
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.render ran under --json")
+
+    for cls in (CheckReport, Verdict, WitnessVerification, PlasticVerdict, StrongPlasticVerdict,
+                DistanceMatrix, AxiomReport, RestrictionReport, Shrinkage):
+        monkeypatch.setattr(cls, "render", refuse)
+    assert [_call(argv) for argv in calls] == before
+
+
+@pytest.mark.parametrize(
+    "flags", [("-OO", "-m", "plasti.cli"), ("-m", "plasti")], ids=["optimized", "package"]
+)
+def test_the_cli_runs_as_a_module(flags):
+    """``python -m plasti`` works from a checkout, and ``-OO`` (which strips
+    docstrings) changes nothing."""
+    src = str(Path(plasti.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, *flags, "gallery", "list"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == _call(["gallery", "list"])
 
 
 # -------------------------------------------------------------------
