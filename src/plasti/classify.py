@@ -11,9 +11,11 @@ reported as window-consistent candidates, never as proof.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import nsmallest
+from heapq import nlargest, nsmallest
+from itertools import compress
 from typing import Optional
 
 from .errors import MetadataUnvalidated, PlastiError
@@ -45,6 +47,7 @@ from .space import (
     SubspaceDescription,
     Window,
     accumulation_points,
+    float_ratio,
     gap_spectrum,
     is_bounded,
     materialize,
@@ -490,6 +493,33 @@ def _candidate_outcomes(
     return tuple(attempts)
 
 
+def _gap_width(a: Scalar, b: Scalar) -> float:
+    """b - a rounded once to a float, from its exact integer ratio."""
+    ad, bd = a.denominator, b.denominator
+    return float_ratio(b.numerator * ad - a.numerator * bd, ad * bd)
+
+
+def _widest_pairs(points: tuple, k: int) -> list:
+    """The k adjacent pairs of the ascending ``points`` with the widest
+    gaps, ties to the lower pair, widest first: exactly
+    ``nsmallest(k, pairs, key=lambda ab: (ab[0] - ab[1], ab[0]))``.
+
+    Each gap's width is rounded once to a float from its exact integer
+    ratio. That rounding is monotone, so a pair whose float lies below the
+    k-th largest float has k pairs strictly wider than it and is not among
+    the k widest; only the pairs at or above that float are ranked in
+    Fractions. Subtracting the rounded endpoints would not do:
+    float(b) - float(a) is not monotone in b - a.
+    """
+    after = points[1:]
+    pairs = zip(points, after)
+    if len(after) > k:
+        widths = array("d", map(_gap_width, points, after))
+        cut = nlargest(k, widths)[-1]
+        pairs = compress(pairs, (w >= cut for w in widths))
+    return nsmallest(k, pairs, key=lambda ab: (ab[0] - ab[1], ab[0]))
+
+
 def falsification_family(
     space: SubspaceDescription, window: Window, cap: int
 ) -> tuple:
@@ -506,11 +536,7 @@ def falsification_family(
     if mat is not None:
         # Reflect about midpoints of the widest adjacent gaps; those are the
         # plausible symmetry axes. Adjacent pairs have distinct midpoints.
-        widest = nsmallest(
-            MAX_REFLECTION_CENTERS,
-            zip(mat.points, mat.points[1:]),
-            key=lambda ab: (ab[0] - ab[1], ab[0]),
-        )
+        widest = _widest_pairs(mat.points, MAX_REFLECTION_CENTERS)
         for c in sorted((a + b) / 2 for a, b in widest):
             candidates.append((f"reflect@{format_scalar(c)}", _reflection_map(c)))
     b = is_bounded(space)

@@ -351,12 +351,13 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="plasti", description="Command-line front end.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, report=True):
         p.add_argument("--window", type=_parse_window, default=Window(Fraction(-10), Fraction(10)),
                        help="verification window LO..HI (default -10..10)")
         p.add_argument("--cap", type=_parse_cap, default=DEFAULT_CAP,
                        help="enumeration cap near accumulation points (at least 1)")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        if report:
+            p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("check", help="run one windowed map check")
     p.add_argument("--space", required=True, help="space description file")
@@ -381,7 +382,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--space", required=True)
     p.add_argument("--map", help="map description file (omit for the product alone)")
     p.add_argument("--out", help="output path (default: standard output)")
-    common(p)
+    common(p, report=False)  # the output is SVG
     p.set_defaults(fn=_cmd_plot)
 
     p = sub.add_parser("gallery", help="show or verify a curated instance")

@@ -12,9 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
-from .classify import NOT_PLASTIC, PLASTIC, UNKNOWN, classify, run_falsifications, verify_witness
+from .classify import (
+    NOT_PLASTIC,
+    PLASTIC,
+    UNKNOWN,
+    Verdict,
+    WitnessVerification,
+    classify,
+    run_falsifications,
+    verify_witness,
+)
 from .errors import UnknownGalleryId
 from .maps import (
     AffinePiece,
@@ -117,13 +127,47 @@ class EntryReport:
 
 def verify_entry(entry: GalleryEntry) -> EntryReport:
     results = []
-    for exp in entry.expectations:
-        try:
-            passed, detail = exp.run(entry)
-        except Exception as err:  # surface, never hide, a broken expectation
-            passed, detail = False, f"raised {type(err).__name__}: {err}"
-        results.append(ExpectationResult(exp.name, passed, detail))
+    try:
+        for exp in entry.expectations:
+            try:
+                passed, detail = exp.run(entry)
+            except Exception as err:  # surface, never hide, a broken expectation
+                passed, detail = False, f"raised {type(err).__name__}: {err}"
+            results.append(ExpectationResult(exp.name, passed, detail))
+    finally:
+        _facts.cache_clear()  # each verification computes its facts afresh
     return EntryReport(entry.id, tuple(results))
+
+
+class _Facts:
+    """The classifier facts that several expectations of one entry ask
+    for, each computed on first use."""
+
+    def __init__(self, entry: GalleryEntry):
+        self.entry = entry
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        e = self.entry
+        return classify(e.space, e.window, e.cap)
+
+    @cached_property
+    def witness_check(self) -> WitnessVerification:
+        e = self.entry
+        return verify_witness(e.space, self.verdict.witness, e.window, e.cap)
+
+    @cached_property
+    def falsifications(self) -> tuple:
+        # an unknown verdict already ran the family on the same window
+        if self.verdict.outcome == UNKNOWN:
+            return self.verdict.falsifications
+        e = self.entry
+        return run_falsifications(e.space, e.window, e.cap)
+
+
+@lru_cache(maxsize=1)
+def _facts(entry: GalleryEntry) -> _Facts:
+    return _Facts(entry)
 
 
 # ===================================================================
@@ -146,7 +190,7 @@ def _check(map_name: str, check_fn, want_pass: bool, label: str) -> Expectation:
 
 def _classified(outcome: str, rule: Optional[str]) -> Expectation:
     def run(entry):
-        verdict = classify(entry.space, entry.window, entry.cap)
+        verdict = _facts(entry).verdict
         ok = verdict.outcome == outcome and (rule is None or verdict.rule == rule)
         return ok, f"verdict {verdict.outcome}" + (f" via {verdict.rule}" if verdict.rule else "")
 
@@ -156,10 +200,10 @@ def _classified(outcome: str, rule: Optional[str]) -> Expectation:
 
 def _classifier_witness_valid() -> Expectation:
     def run(entry):
-        verdict = classify(entry.space, entry.window, entry.cap)
-        if verdict.witness is None:
+        facts = _facts(entry)
+        if facts.verdict.witness is None:
             return False, "no witness produced"
-        wv = verify_witness(entry.space, verdict.witness, entry.window, entry.cap)
+        wv = facts.witness_check
         return wv.valid, "witness map is a verified non-expansive non-isometric bijection" if wv.valid else "witness failed verification"
 
     return Expectation("classifier witness verifies", run)
@@ -167,7 +211,7 @@ def _classifier_witness_valid() -> Expectation:
 
 def _no_surviving_falsification() -> Expectation:
     def run(entry):
-        attempts = run_falsifications(entry.space, entry.window, entry.cap)
+        attempts = _facts(entry).falsifications
         survivors = [a.name for a in attempts if a.survived]
         if survivors:
             return False, f"candidates survived: {', '.join(survivors)}"
@@ -366,7 +410,7 @@ def _example310() -> GalleryEntry:
         )
 
     def mirror_is_isometry(entry):
-        attempts = run_falsifications(entry.space, entry.window, entry.cap)
+        attempts = _facts(entry).falsifications
         mirror = [a for a in attempts if a.name == "reflect@1/2"]
         if not mirror:
             return False, "mirror candidate not generated"
@@ -430,7 +474,7 @@ def _prop313() -> GalleryEntry:
     )
 
     def lipschitz_is_one(entry):
-        verdict = classify(entry.space, entry.window, entry.cap)
+        verdict = _facts(entry).verdict
         bound, _ = lipschitz_upper(verdict.witness, entry.space, entry.window, entry.cap)
         return bound == F(1), f"witness Lipschitz bound {format_scalar(bound)}"
 
@@ -473,8 +517,7 @@ def _rem316_halfopen() -> GalleryEntry:
     )
 
     def glue_map(entry):
-        verdict = classify(entry.space, entry.window, entry.cap)
-        ok = verify_witness(entry.space, verdict.witness, entry.window, entry.cap).valid
+        ok = _facts(entry).witness_check.valid
         return ok, "fold passes endomorphism, non-expansiveness, bijection; fails isometry"
 
     return GalleryEntry(
@@ -547,7 +590,7 @@ def _r_minus_z() -> GalleryEntry:
     )
 
     def glue_ruled_out(entry):
-        attempts = run_falsifications(entry.space, entry.window, entry.cap)
+        attempts = _facts(entry).falsifications
         glue = [a for a in attempts if a.name.startswith("glue@")]
         if not glue:
             return False, "glue candidate not generated"

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import bisect
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb, floor, isqrt
+from math import comb, floor, inf, isqrt
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -1203,6 +1204,31 @@ def in_sorted(values, x) -> bool:
     return i < len(values) and values[i] == x
 
 
+def float_ratio(n: int, d: int) -> float:
+    """n / d for d > 0, rounded once to a float, or an infinity of its sign
+    past the float range. CPython divides ints with correct rounding, so
+    the result is monotone in the exact ratio: n/d <= m/e gives
+    float_ratio(n, d) <= float_ratio(m, e)."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
+def _float_key(x: Scalar) -> float:
+    """The monotone float key of an int or Fraction (see ``float_ratio``)."""
+    return float_ratio(x.numerator, x.denominator)
+
+
+def _locate(points, keys, x) -> int:
+    """bisect_left(points, x) for ascending ``points`` whose float keys are
+    ``keys``. The key is monotone, so an entry whose key is below x's is
+    below x and one whose key is above is above: only the run of entries
+    whose keys tie with x's is compared exactly."""
+    fx = _float_key(x)
+    return bisect.bisect_left(points, x, bisect.bisect_left(keys, fx), bisect.bisect_right(keys, fx))
+
+
 @dataclass(frozen=True)
 class Materialization:
     """The points and clipped fragments of a space inside a window.
@@ -1215,6 +1241,12 @@ class Materialization:
     points, or in ``points`` when no component is an interval kind, are
     adjacent members when no zone lies between them. ``member`` and
     ``shift`` answer from it there and return None elsewhere.
+
+    They find x in a sorted point tuple by a shadow ``array('d')`` of the
+    points' float keys (``_float_key``), built on the first lookup in that
+    tuple. The key is monotone, so bisecting the floats brackets x's place
+    exactly and only points whose floats equal x's are compared as
+    Fractions (``_locate``): lookups give the index plain bisection gives.
     """
 
     window: Window
@@ -1232,8 +1264,24 @@ class Materialization:
     def empty(self) -> bool:
         return not self.points and not self.fragments
 
+    @cached_property
+    def _float_keys(self) -> dict:
+        """Float keys per point tuple: None for ``points``, else the
+        component index; each filled on its first lookup."""
+        return {}
+
     def _exact_at(self, x: Scalar) -> bool:
         return self.window.contains(x) and not any(z.contains(x) for z in self.truncation_zones)
+
+    def _find(self, component: Optional[int], x: Scalar) -> Optional[int]:
+        """The index of x in the sorted points of a discrete component, or
+        in ``points`` for None; None when x is not there."""
+        points = self.points if component is None else self.component_points[component]
+        keys = self._float_keys.get(component)
+        if keys is None:
+            keys = self._float_keys[component] = array("d", map(_float_key, points))
+        i = _locate(points, keys, x)
+        return i if i < len(points) and points[i] == x else None
 
     def member(self, x: Scalar, component: Optional[int] = None) -> Optional[bool]:
         """Whether x is a member of the space, or of one of its components;
@@ -1242,8 +1290,8 @@ class Materialization:
             return None
         if component is not None:
             points = self.component_points[component]
-            return None if points is None else in_sorted(points, x)
-        if in_sorted(self.points, x):
+            return None if points is None else self._find(component, x) is not None
+        if self._find(None, x) is not None:
             return True
         i = bisect.bisect_right(self.fragments, x, key=lambda f: f.interval.lo.value)
         # fragments are disjoint, but one with an open end at x may follow
@@ -1262,8 +1310,8 @@ class Materialization:
             points = self.component_points[component]
         if points is None:
             return None
-        i = bisect.bisect_left(points, x)
-        if i == len(points) or points[i] != x or not 0 <= i + steps < len(points):
+        i = self._find(component, x)
+        if i is None or not 0 <= i + steps < len(points):
             return None
         y = points[i + steps]
         lo, hi = min(x, y), max(x, y)

@@ -7,14 +7,18 @@ facts are the module's soundness story and are asserted here directly.
 """
 
 from fractions import Fraction as F
+from heapq import nsmallest
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from plasti.classify import (
     NOT_PLASTIC,
     PLASTIC,
     UNKNOWN,
     MAX_REFLECTION_CENTERS,
+    _widest_pairs,
     classify,
     falsification_family,
     run_falsifications,
@@ -269,6 +273,33 @@ def test_reflection_centres_are_the_widest_gaps_then_the_leftmost():
         "reflect@18",
         "reflect@20",
     ]
+
+
+def reference_widest(points, k):
+    """The ranking _widest_pairs replaces: every gap subtracted in Fractions."""
+    return nsmallest(k, zip(points, points[1:]), key=lambda ab: (ab[0] - ab[1], ab[0]))
+
+
+gap_values = st.one_of(
+    st.sampled_from((F(1), F(2), F(1, 3))),  # tied widths
+    st.integers(-3, 3).map(lambda k: 1 + F(k, 10**30)),  # distinct widths whose floats tie
+    st.just(F(10**400)),  # a width past the float range
+    st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7),
+)
+
+
+@given(
+    st.sampled_from((F(0), F(2**53), F(-(10**20), 3), F(10**400), F(-(10**400)))),
+    st.lists(gap_values, max_size=30),
+    st.integers(1, 14),
+)
+# the rounded endpoints give widths 0 and 2 to exact widths 9/10 and 4/5
+@example(F(2**53), [F(9, 10), F(4, 5)], 1)
+@example(F(0), [F(1)] * 20, MAX_REFLECTION_CENTERS)  # every width ties at the cut
+@example(F(0), [1 + F(1, 10**30), F(1), 1 - F(1, 10**30), F(1, 2)], 2)
+def test_widest_pairs_match_the_fraction_ranking(base, gaps, k):
+    points = tuple(accumulate(gaps, initial=base))
+    assert _widest_pairs(points, k) == reference_widest(points, k)
 
 
 def test_glue_probe_dies_on_open_intervals():

@@ -380,6 +380,14 @@ def test_plot_to_an_unwritable_path_exits_two_with_one_line(files, tmp_path, cap
     assert err == f"plasti plot: cannot write {out}: No such file or directory\n"
 
 
+def test_plot_refuses_json_with_one_line(files, capsys):
+    code = main(["plot", "--space", files("s.sp", INTEGERS), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "plasti: unrecognized arguments: --json\n"
+
+
 def test_a_file_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys):
     space = tmp_path / "s.sp"
     space.write_bytes(b"points: 0 1 \xe9\n")

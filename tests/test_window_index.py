@@ -11,11 +11,15 @@ walk of a side; ``reference_side_member``, ``reference_next_above`` and
 own explicit, closed-sum and walked branches; and ``reference_predecessor``,
 the successor search on the mirror image ``mirrored(space)``, whose
 exhausted walk is reworded as the predecessor search at x. Errors are
-compared by type and text.
+compared by type and text. Lookups in a materialization bisect float keys
+first (``_locate``), which is compared with plain ``bisect_left`` on
+values whose floats tie or overflow.
 """
 
 import bisect
+from array import array
 from fractions import Fraction as F
+from math import inf
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -39,6 +43,8 @@ from plasti.space import (
     SubspaceDescription,
     TelescopingGaps,
     Window,
+    _float_key,
+    _locate,
     _materialize_points,
     _max_n_with_sum_below,
     component_contains,
@@ -538,3 +544,86 @@ def test_shifts_on_interval_scopes_still_raise_not_discrete():
     with pytest.raises(NotDiscrete):
         _eval_member(desc, space, F(0), 100, mat)
 
+
+
+# -------------------------------------------------------------------
+# Float keys: bisect the floats, compare exactly only a tied run
+# -------------------------------------------------------------------
+
+QUARTER_TIES = [F(1, 4) + F(1, 10**k) for k in (20, 19, 18)]  # ascending
+tie_values = st.one_of(
+    # float(1/4 + 1/n) is float(1/4) for every such n
+    st.integers(10**17, 10**20).map(lambda n: F(1, 4) + F(1, n)),
+    # 10**-30 apart
+    st.tuples(st.sampled_from((F(0), F(-3, 7), F(1, 4), F(10**6))), st.integers(-9, 9)).map(
+        lambda ck: ck[0] + F(ck[1], 10**30)
+    ),
+    # past the float range, as ints and as Fractions: the keys clamp to ±inf
+    st.tuples(st.sampled_from((10**400, -(10**400))), st.integers(-3, 3)).map(sum),
+    st.tuples(st.sampled_from((10**400, -(10**400))), st.integers(-3, 3)).map(
+        lambda bk: F(bk[0] + bk[1], 3)
+    ),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+)
+
+
+def float_keys(points) -> array:
+    return array("d", map(_float_key, points))
+
+
+def test_the_cluster_values_tie_as_floats():
+    assert {_float_key(x) for x in QUARTER_TIES} == {0.25}
+    assert _float_key(F(1, 4) - F(1, 10**30)) == _float_key(F(1, 4) + F(1, 10**30))
+    assert _float_key(10**400) == _float_key(F(10**400, 3)) == inf
+    assert _float_key(-(10**400)) == -inf
+
+
+@given(st.lists(tie_values, max_size=40, unique=True), st.lists(tie_values, max_size=8))
+@example(QUARTER_TIES, [])  # a member at the bottom of a tied run
+@example([-(10**400), F(-(10**400) + 1, 3), 0, F(10**400, 3), 10**400], [F(10**400 + 1, 3)])
+def test_locate_is_bisect_left(values, others):
+    points = sorted(values)
+    keys = float_keys(points)
+    for x in points + others:
+        assert _locate(points, keys, x) == bisect.bisect_left(points, x)
+
+
+def reference_shift(space, x, steps, cap):
+    step = reference_successor if steps > 0 else reference_predecessor
+    for _ in range(abs(steps)):
+        x = step(space, x, cap)
+        if x is None:
+            return None
+    return x
+
+
+@given(
+    st.lists(tie_values.map(F), min_size=1, max_size=30, unique=True),
+    st.lists(tie_values.map(F), max_size=6, unique=True),
+    st.integers(-3, 3),
+)
+@example(QUARTER_TIES, [F(1, 4)], 1)
+@example(QUARTER_TIES[1:], [QUARTER_TIES[0], F(1, 4) + F(1, 10**17)], -1)
+def test_member_and_shift_on_float_ties_match_the_references(cluster, extra, steps):
+    """FinitePoints clusters whose floats tie, wholly inside the window:
+    the materialization answers every lookup, and a shift that leaves the
+    tuple has no member to reach."""
+    cap = 10
+    extra = sorted(set(extra) - set(cluster))
+    components = [FinitePoints(tuple(sorted(cluster)))]
+    if extra:
+        components.append(FinitePoints(tuple(extra)))
+    space = SubspaceDescription(tuple(components))
+    everything = cluster + extra
+    mat = materialize(space, Window(min(everything) - 1, max(everything) + 1), cap)
+    probes = everything + [F(1, 4), F(1, 4) + F(1, 10**21), F(10**400 + 2, 3)]
+    for x in filter(mat.window.contains, probes):
+        assert mat.member(x) == reference_contains(space, x, cap)
+        for i, comp in enumerate(space.components):
+            assert mat.member(x, i) == reference_component_contains(comp, x, cap)
+    for x in everything:
+        assert mat.shift(None, x, steps) == reference_shift(space, x, steps, cap)
+        i = 0 if x in cluster else 1
+        scope = SubspaceDescription((space.components[i],))
+        assert mat.shift(i, x, steps) == reference_shift(scope, x, steps, cap)
