@@ -4,7 +4,8 @@ A space is described symbolically (points, progressions, gap sequences,
 interval unions), maps are piecewise descriptions with declared inverses,
 and every check on an infinite space is an exact certificate over a
 window. The classifier turns structural rules into plastic/not-plastic
-verdicts with verifiable witnesses; finite spaces get brute-force oracles.
+verdicts with verifiable witnesses; finite spaces get exact oracles that
+answer by theorem.
 """
 
 from .classify import (

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands mirror the library modules: ``check`` runs one windowed map
-check, ``classify`` runs the rule ladder, ``oracle`` runs the finite
-brute-force searches, ``plot`` emits an SVG figure, ``gallery`` replays
+check, ``classify`` runs the rule ladder, ``oracle`` answers the finite
+plasticity questions, ``plot`` emits an SVG figure, ``gallery`` replays
 curated instances, ``extend`` closes or extends a distance table.
 
 Exit codes are uniform: 0 for a pass (or a completed report), 1 for a
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .classify import classify, verify_witness
-from .errors import CapExceeded, ParseError, PlastiError
+from .errors import CapExceeded, ParseError, PlastiError, SpaceError
 from .extend import check_metric_axioms, check_restriction, path_infimum_metric, railway_extension
 from .gallery import GALLERY_IDS, gallery_entry, verify_entry
 from .maps import (
@@ -212,8 +212,12 @@ def _cmd_oracle(args) -> int:
         cap = SELFMAP_HARD_CAP if args.strong else BIJECTION_HARD_CAP
         points = _parse_points(args.points, cap)
     else:
-        space = parse_space(_read(args.space))
-        points = materialize(space, args.window, args.cap).points
+        mat = materialize(parse_space(_read(args.space)), args.window, args.cap)
+        if mat.fragments or mat.truncated:
+            reason = ("it has interval parts there" if mat.fragments else
+                      "it accumulates at " + ", ".join(map(format_scalar, mat.truncated_near)))
+            raise SpaceError(f"the space is not a finite set in window {args.window}: {reason}")
+        points = mat.points
         cap = SELFMAP_CAP if args.strong else BIJECTION_CAP
     if args.strong:
         verdict = strongly_plastic_bruteforce(points, cap)
@@ -371,10 +375,11 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("oracle", help="finite brute-force plasticity search")
+    p = sub.add_parser("oracle", help="count the non-expansive bijections of a finite set")
     p.add_argument("--points", help="comma list of scalars; A..B expands integer ranges")
-    p.add_argument("--space", help="space file (points taken from the window)")
-    p.add_argument("--strong", action="store_true", help="search all self-maps")
+    p.add_argument("--space", help="space file; its window slice must be a finite set")
+    p.add_argument("--strong", action="store_true",
+                   help="count the self-maps that contract no pair instead")
     common(p)
     p.set_defaults(fn=_cmd_oracle)
 

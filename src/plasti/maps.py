@@ -459,14 +459,13 @@ def _collect_samples(
     )
     # A member cut point whose true image equals the piece limit makes the
     # duplicate limit sample redundant; keep limits only when they differ.
-    true_at = {s.x: s.value for s in point_samples}
-    limit_samples = tuple(
-        s for s in limit_samples if s.x not in true_at or s.value != true_at[s.x]
-    )
+    if limit_samples:
+        true_at = {s.x: s.value for s in point_samples}
+        limit_samples = [s for s in limit_samples if s.x not in true_at or s.value != true_at[s.x]]
     return WindowSamples(
         materialization=mat,
         point_samples=point_samples,
-        limit_samples=limit_samples,
+        limit_samples=tuple(limit_samples),
         spans=tuple(spans),
         subsampled=subsampled,
     )

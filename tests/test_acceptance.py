@@ -85,7 +85,7 @@ def test_ac03_random_finite_sets_are_plastic(rng):
 
     for _ in range(200):
         verdict = plastic_bruteforce(draw_set())
-        assert verdict.plastic, f"witness {verdict.witness} on {verdict.points}"
+        assert verdict.plastic, f"not plastic on {verdict.points}"
 
     for n in range(2, 9):
         grid = plastic_bruteforce(tuple(F(k) for k in range(n)))

@@ -233,6 +233,24 @@ def test_oracle_from_space_file(files, capsys):
     assert payload["bijections"] == 1
 
 
+@pytest.mark.parametrize(
+    "text, flags, reason",
+    [
+        ("points: 0 1 3\ninterval: [5,6]\n", [], "it has interval parts there"),
+        ("interval: [5,6]\n", ["--strong"], "it has interval parts there"),
+        ("gapseq: anchor=0 right=recipdiff(n+1)\n", ["--window=0..3", "--cap", "3"],
+         "it accumulates at 1/2"),
+    ],
+    ids=["points-and-interval", "interval-only", "truncated-tail"],
+)
+def test_oracle_refuses_a_window_slice_that_is_not_finite(files, capsys, text, flags, reason):
+    code = main(["oracle", "--space", files("s.sp", text), *flags])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("plasti oracle: the space is not a finite set in window ")
+    assert err.endswith(f": {reason}\n") and err.count("\n") == 1
+
+
 # -------------------------------------------------------------------
 # plot
 # -------------------------------------------------------------------
