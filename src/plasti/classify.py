@@ -111,43 +111,26 @@ class Verdict:
 
 
 def _full_monotonicity(view: SequenceView) -> dict:
-    """Monotonicity of the complete adjacent-gap sequence left to right.
+    """Monotonicity of the complete adjacent-gap sequence left to right,
+    for a view with both tails.
 
     The left tail contributes its gaps reversed, so the full sequence is
     nondecreasing exactly when that tail is nonincreasing in its own index.
+    Around the middle points, the tails' first gaps are compared with the
+    middle gaps as one list.
     """
-    nondec = noninc = True
-    strict = False
-    boundaries_lo = []  # last gap before the middle (left tail side)
-    middle = view.middle_gaps
-    if view.left is not None:
-        lm = view.left.monotone()
-        nondec &= lm["nonincreasing"]
-        noninc &= lm["nondecreasing"]
-        strict |= lm["strict"]
-        boundaries_lo.append(view.left.gap(1))
-    seq = list(middle)
-    for a, b in zip(seq, seq[1:]):
-        nondec &= a <= b
-        noninc &= a >= b
-        strict |= a != b
-    first_right = view.right.gap(1) if view.right is not None else None
-    if boundaries_lo:
-        nxt = seq[0] if seq else first_right
-        if nxt is not None:
-            nondec &= boundaries_lo[0] <= nxt
-            noninc &= boundaries_lo[0] >= nxt
-            strict |= boundaries_lo[0] != nxt
-    if first_right is not None and seq:
-        nondec &= seq[-1] <= first_right
-        noninc &= seq[-1] >= first_right
-        strict |= seq[-1] != first_right
-    if view.right is not None:
-        rm = view.right.monotone()
-        nondec &= rm["nondecreasing"]
-        noninc &= rm["nonincreasing"]
-        strict |= rm["strict"]
-    return {"nondecreasing": nondec, "nonincreasing": noninc, "strict": strict}
+    gaps = [view.left.gap(1), *view.middle_gaps, view.right.gap(1)]
+    pairs = list(zip(gaps, gaps[1:]))
+    left, right = view.left.monotone(), view.right.monotone()
+    return {
+        "nondecreasing": left["nonincreasing"]
+        and right["nondecreasing"]
+        and all(a <= b for a, b in pairs),
+        "nonincreasing": left["nondecreasing"]
+        and right["nonincreasing"]
+        and all(a >= b for a, b in pairs),
+        "strict": left["strict"] or right["strict"] or any(a != b for a, b in pairs),
+    }
 
 
 # ===================================================================

@@ -359,7 +359,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--window", type=_parse_window, default=Window(Fraction(-10), Fraction(10)),
                        help="verification window LO..HI (default -10..10)")
         p.add_argument("--cap", type=_parse_cap, default=DEFAULT_CAP,
-                       help="enumeration cap near accumulation points (at least 1)")
+                       help="enumeration cap (at least 1): the members a rule side lists "
+                            "in the window, the steps of a walked side, the members listed "
+                            "toward an accumulation value, the intervals of a periodic "
+                            "family in the window")
         if report:
             p.add_argument("--json", action="store_true", help="emit a JSON report")
 

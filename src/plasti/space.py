@@ -1,11 +1,12 @@
 """Exact symbolic subspaces of the real line.
 
 A subspace is a disjoint union of catalog components: finite point sets,
-arithmetic progressions, gap-rule sequences, periodic interval unions,
-explicit interval lists, and half-lines. Everything is exact rational
-arithmetic; infinite components are handled symbolically and materialized
-on finite windows. Checks on infinite descriptions are certificates for the
-window, never proofs.
+gap-rule sequences, periodic interval unions, explicit interval lists, and
+half-lines. An arithmetic progression (``arith:`` in a space file) is
+shorthand for a gap sequence with ``const(step)`` sides. Everything is
+exact rational arithmetic; infinite components are handled symbolically
+and materialized on finite windows. Checks on infinite descriptions are
+certificates for the window, never proofs.
 """
 
 from __future__ import annotations
@@ -777,19 +778,6 @@ class FinitePoints:
 
 
 @dataclass(frozen=True)
-class ArithmeticProgression:
-    anchor: Scalar
-    step: Scalar
-    direction: str
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise SpaceError("progression step must be positive")
-        if self.direction not in _DIRECTIONS:
-            raise SpaceError(f"bad direction {self.direction!r}")
-
-
-@dataclass(frozen=True)
 class GapSequence:
     """Anchor point with gap-rule sides walking left and/or right."""
 
@@ -800,6 +788,19 @@ class GapSequence:
     def __post_init__(self):
         if self.left is None and self.right is None:
             raise SpaceError("GapSequence needs at least one side")
+
+
+def ArithmeticProgression(anchor: Scalar, step: Scalar, direction: str) -> GapSequence:
+    """The members anchor + k*step for k >= 0 (right), k <= 0 (left) or
+    every integer k (both): a gap sequence with ``const(step)`` sides."""
+    if step <= 0:
+        raise SpaceError("progression step must be positive")
+    if direction not in _DIRECTIONS:
+        raise SpaceError(f"bad direction {direction!r}")
+    side = ConstantGaps(step)
+    return GapSequence(
+        anchor, left=None if direction == RIGHT else side, right=None if direction == LEFT else side
+    )
 
 
 @dataclass(frozen=True)
@@ -866,11 +867,9 @@ class HalfLine:
         return Interval(Endpoint(NEG_INF, False), self.endpoint)
 
 
-Component = Union[
-    FinitePoints, ArithmeticProgression, GapSequence, PeriodicIntervals, IntervalList, HalfLine
-]
+Component = Union[FinitePoints, GapSequence, PeriodicIntervals, IntervalList, HalfLine]
 
-_DISCRETE_KINDS = (FinitePoints, ArithmeticProgression, GapSequence)
+_DISCRETE_KINDS = (FinitePoints, GapSequence)
 _INTERVAL_KINDS = (PeriodicIntervals, IntervalList, HalfLine)
 
 
@@ -945,10 +944,6 @@ def _side_bound(anchor: Scalar, program: Optional[GapProgram], sign: int) -> Bou
 def component_bounds(comp: Component) -> Bounds:
     if isinstance(comp, FinitePoints):
         return Bounds(BoundInfo(True, comp.points[0], True), BoundInfo(True, comp.points[-1], True))
-    if isinstance(comp, ArithmeticProgression):
-        below = BoundInfo(True, comp.anchor, True) if comp.direction == RIGHT else BoundInfo(False)
-        above = BoundInfo(True, comp.anchor, True) if comp.direction == LEFT else BoundInfo(False)
-        return Bounds(below, above)
     if isinstance(comp, GapSequence):
         return Bounds(
             _side_bound(comp.anchor, comp.left, -1), _side_bound(comp.anchor, comp.right, 1)
@@ -1046,8 +1041,7 @@ class _Stops:
     """Where an offset bound falls on one side of a gap sequence.
 
     The side's members are anchor + sign*S(n) for n >= 1. ``count`` of them
-    lie below the bound (at or below it, when not strict), or None when
-    they were not counted: a listing met the cap inside the bound, or a
+    lie below the bound (at or below it, when not strict), or None when a
     walk took ``cap`` steps without passing it. ``points(first, last)``
     lists the members first..last outward, as far as they are known: any
     member of a closed-sum or explicit side, and the first count + 1 (or
@@ -1070,19 +1064,15 @@ def _side_stops(
     bound: Scalar,
     strict: bool,
     cap: int,
-    listing: bool = False,
 ) -> _Stops:
     """Count the members of one side out to an offset bound from its anchor.
 
     The one place that decides how a side is read: an explicit list by its
     prefix sums, a closed-sum rule by inverting its partial sums, and any
     other rule by walking it gap by gap for at most ``cap`` steps. Explicit
-    and closed-sum sides answer without the cap, so membership and adjacency
-    on them cost the same at any offset. A ``listing`` enumerates what it
-    counts, so there a rule side also stops at its ``cap``-th member: the
-    count is None when that member lies within the bound. An explicit side
-    is listed whole. Unless listing, the bound must lie below the total of
-    a convergent side.
+    and closed-sum sides answer without the cap, so membership, adjacency
+    and listing on them cost the same at any offset. The bound must lie
+    below the total of a convergent side.
     """
     if program.finite:
         sums = list(accumulate(program.values))
@@ -1090,15 +1080,10 @@ def _side_stops(
         count = (bisect.bisect_left if strict else bisect.bisect_right)(sums, bound)
         return _Stops(count, lambda first, last: members[first - 1 : last])
     if program.closed_sums:
-
-        def points(first: int, last: int) -> list:
-            return program.side_points(anchor, sign, first, last)
-
-        if listing:
-            reach = program.partial(cap)
-            if reach < bound or (not strict and reach == bound):
-                return _Stops(None, points)
-        return _Stops(_max_n_with_sum_below(program, bound, strict), points)
+        return _Stops(
+            _max_n_with_sum_below(program, bound, strict),
+            lambda first, last: program.side_points(anchor, sign, first, last),
+        )
     walked: list = []
     pos, edge = anchor, anchor + sign * bound
     if sign > 0:
@@ -1137,15 +1122,6 @@ def component_contains(comp: Component, x: Scalar, cap: int = DEFAULT_CAP) -> bo
     if isinstance(comp, FinitePoints):
         i = bisect.bisect_left(comp.points, x)
         return i < len(comp.points) and comp.points[i] == x
-    if isinstance(comp, ArithmeticProgression):
-        k = (x - comp.anchor) / comp.step
-        if k.denominator != 1:
-            return False
-        if comp.direction == RIGHT:
-            return k >= 0
-        if comp.direction == LEFT:
-            return k <= 0
-        return True
     if isinstance(comp, GapSequence):
         if x == comp.anchor:
             return True
@@ -1322,67 +1298,60 @@ class Materialization:
 
 def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
     """(points, truncated_near, truncation_zones) for a discrete component,
-    with the points ascending."""
+    with the points ascending.
+
+    Each side is listed by the index range of its members in the window.
+    A rule side lists at most ``cap`` of them: a divergent side with more
+    is refused, and a convergent side whose ``cap``-th member lies in the
+    window is cut there, leaving the stretch to its limit uncovered. A
+    walked side must also leave the window within ``cap`` steps. An
+    explicit side is listed whole.
+    """
     lo, hi = window.lo, window.hi
     if isinstance(comp, FinitePoints):
         return tuple(p for p in comp.points if lo <= p <= hi), (), ()
-    if isinstance(comp, ArithmeticProgression):
-        a, s = comp.anchor, comp.step
-        k_lo = -((a - lo) / s).__floor__()  # smallest k with a + k s >= lo
-        k_hi = ((hi - a) / s).__floor__()  # largest k with a + k s <= hi
-        if comp.direction == RIGHT:
-            k_lo = max(k_lo, 0)
-        if comp.direction == LEFT:
-            k_hi = min(k_hi, 0)
-        if k_hi < k_lo:
-            return (), (), ()
-        if k_hi - k_lo + 1 > cap:
-            raise RuleDivergence(
-                f"progression step {format_scalar(s)} puts more than {cap} points in {window}"
-            )
-        return tuple(a + k * s for k in range(k_lo, k_hi + 1)), (), ()
-    if isinstance(comp, GapSequence):
-        truncated = []
-        zones = []
+    truncated = []
+    zones = []
 
-        def side(program: Optional[GapProgram], sign: int) -> list:
-            """The side's window points, outward."""
-            if program is None:
-                return []
-            near, far = (lo, hi) if sign > 0 else (hi, lo)
-            if program.converges:
-                limit = comp.anchor + sign * program.total
-                if sign * (limit - near) <= 0:
-                    return []  # the whole side lies short of the window
-            bound = sign * (far - comp.anchor)
-            stops = _side_stops(comp.anchor, program, sign, bound, False, cap, listing=True)
-            last = cap if stops.count is None else stops.count
-            # the first member at or past the near edge, from the stops counted
-            first = 1
-            if sign * (near - comp.anchor) > 0:
-                ahead = range(1, last + 1)
-                first += bisect.bisect_left(ahead, sign * near, key=lambda n: sign * stops.point(n))
-            points = stops.points(first, last)
-            if stops.count is not None:
-                return points
-            # cap members did not leave the window
-            if program.converges:
-                truncated.append(limit)
-                # the stretch between the limit and the last stop is uncovered
-                pos = stops.point(cap)
-                zones.append(Interval.open(limit, pos) if sign < 0 else Interval.open(pos, limit))
-                return points
+    def side(program: Optional[GapProgram], sign: int) -> list:
+        """The side's window points, outward."""
+        if program is None:
+            return []
+        near, far = (lo, hi) if sign > 0 else (hi, lo)
+        bound = sign * (far - comp.anchor)
+        cut = False
+        if program.converges:
+            limit = comp.anchor + sign * program.total
+            if sign * (limit - near) <= 0:
+                return []  # the whole side lies short of the window
+            reach = program.partial(cap)
+            cut = reach <= bound  # the cap-th member does not pass the far edge
+            bound = min(bound, reach)
+        stops = _side_stops(comp.anchor, program, sign, bound, False, cap)
+        if stops.count is None:
             raise RuleDivergence(
                 f"gap rule {program} did not reach the edge {format_scalar(far)} in {cap} steps"
             )
+        # the first member at or past the near edge; a rule side that holds
+        # more than cap members is refused, so only the last cap + 1 are searched
+        first = start = 1 if program.finite else max(stops.count - cap, 1)
+        if sign * (near - comp.anchor) > 0:
+            ahead = range(start, stops.count + 1)
+            first += bisect.bisect_left(ahead, sign * near, key=lambda n: sign * stops.point(n))
+        if not program.finite and stops.count - first >= cap:
+            raise RuleDivergence(f"gap rule {program} puts more than {cap} points in {window}")
+        if cut:
+            truncated.append(limit)
+            pos = stops.point(cap)
+            zones.append(Interval.open(limit, pos) if sign < 0 else Interval.open(pos, limit))
+        return stops.points(first, stops.count)
 
-        right = side(comp.right, +1)
-        left = side(comp.left, -1)
-        left.reverse()
-        if lo <= comp.anchor <= hi:
-            left.append(comp.anchor)
-        return tuple(left + right), tuple(truncated), tuple(zones)
-    raise SpaceError(f"not a discrete component: {comp!r}")
+    right = side(comp.right, +1)
+    left = side(comp.left, -1)
+    left.reverse()
+    if lo <= comp.anchor <= hi:
+        left.append(comp.anchor)
+    return tuple(left + right), tuple(truncated), tuple(zones)
 
 
 def _clip_interval(ivl: Interval, window: Window) -> Optional[Fragment]:
@@ -1511,14 +1480,6 @@ def _component_next(comp: Component, x: Scalar, cap: int, toward: int):
             return (comp.points[i] if i < len(comp.points) else None), None
         i = bisect.bisect_left(comp.points, x)
         return (comp.points[i - 1] if i else None), None
-    if isinstance(comp, ArithmeticProgression):
-        a, s = comp.anchor, comp.step
-        k = (toward * (x - a) / s).__floor__() + 1  # steps from the anchor, toward
-        if comp.direction == (RIGHT if toward > 0 else LEFT):
-            k = max(k, 0)
-        elif comp.direction != BOTH and k > 0:
-            return None, None
-        return a + toward * k * s, None
     # GapSequence
     nearer = operator.lt if toward > 0 else operator.gt
     best = comp.anchor if nearer(x, comp.anchor) else None
@@ -1652,24 +1613,6 @@ def sequence_view(space: SubspaceDescription, cap: int = DEFAULT_CAP) -> Optiona
 
         if isinstance(comp, FinitePoints):
             points.extend(comp.points)
-            continue
-        if isinstance(comp, ArithmeticProgression):
-            if comp.direction == BOTH:
-                if len(ordered) > 1:
-                    return None
-                left_tail = ConstantGaps(comp.step)
-                right_tail = ConstantGaps(comp.step)
-                points.append(comp.anchor)
-            elif comp.direction == LEFT:
-                if not first:
-                    return None
-                left_tail = ConstantGaps(comp.step)
-                points.append(comp.anchor)
-            else:
-                if not last:
-                    return None
-                right_tail = ConstantGaps(comp.step)
-                points.append(comp.anchor)
             continue
         # GapSequence: explicit sides unfold into points, rule sides become tails.
         points.append(comp.anchor)

@@ -18,6 +18,7 @@ from plasti.classify import (
     PLASTIC,
     UNKNOWN,
     MAX_REFLECTION_CENTERS,
+    _full_monotonicity,
     _widest_pairs,
     classify,
     falsification_family,
@@ -38,6 +39,7 @@ from plasti.space import (
     HalfLine,
     PeriodicIntervals,
     ReciprocalGaps,
+    SequenceView,
     SubspaceDescription,
     TelescopingGaps,
     Window,
@@ -103,6 +105,54 @@ def test_one_sided_growing_gaps_are_not_a_shift_instance():
     )
     verdict = classify_checked(space)
     assert (verdict.outcome, verdict.rule) == (PLASTIC, "R2")
+
+
+def reference_full_monotonicity(view):
+    """Monotonicity of the full gap sequence with each boundary between
+    the tails and the middle gaps written out as its own case."""
+    nondec = noninc = True
+    strict = False
+    middle = list(view.middle_gaps)
+
+    def fold(mono):
+        nonlocal nondec, noninc, strict
+        nondec &= mono["nondecreasing"]
+        noninc &= mono["nonincreasing"]
+        strict |= mono["strict"]
+
+    def compare(a, b):
+        fold({"nondecreasing": a <= b, "nonincreasing": a >= b, "strict": a != b})
+
+    left = view.left.monotone()  # read reversed: its trend flips
+    fold({"nondecreasing": left["nonincreasing"], "nonincreasing": left["nondecreasing"],
+          "strict": left["strict"]})
+    for a, b in zip(middle, middle[1:]):
+        compare(a, b)
+    compare(view.left.gap(1), middle[0] if middle else view.right.gap(1))
+    if middle:
+        compare(middle[-1], view.right.gap(1))
+    fold(view.right.monotone())
+    return {"nondecreasing": nondec, "nonincreasing": noninc, "strict": strict}
+
+
+tail_gaps = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+tail_rules = st.one_of(
+    tail_gaps.map(ConstantGaps),
+    st.tuples(tail_gaps, tail_gaps).map(lambda so: AffineGaps(so[0], so[1])),
+    st.sampled_from([F(0), F(1, 2), F(2)]).map(ReciprocalGaps),
+    st.tuples(tail_gaps, tail_gaps).map(
+        lambda ab: AlternatingGaps((ConstantGaps(ab[0]), ConstantGaps(ab[1])))
+    ),
+)
+
+
+@given(tail_rules, st.lists(st.sampled_from([F(1, 4), F(1, 2), F(1), F(2), F(3)]), max_size=4),
+       tail_rules)
+@example(ConstantGaps(F(1)), [], AffineGaps(F(1), F(0)))  # the tails meet without a middle
+@example(ReciprocalGaps(F(0)), [F(1, 2)], AffineGaps(F(1), F(0)))
+def test_full_monotonicity_matches_the_boundary_cases(left, middle, right):
+    view = SequenceView(tuple(accumulate([F(0)] + middle)), left, right)
+    assert _full_monotonicity(view) == reference_full_monotonicity(view)
 
 
 def test_rule_one_sided_no_accumulation_identity_only():

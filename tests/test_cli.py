@@ -424,6 +424,42 @@ def test_a_cap_below_one_is_refused_while_parsing(files, cap, capsys):
     assert captured.err == f"plasti classify: argument --cap: cap must be at least 1, got {cap}\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gapseq: anchor=100000 left=const(1)\n",
+        "gapseq: anchor=-100000 right=affine(1/100000n+1/2)\n",
+        "gapseq: anchor=100000 left=alt(const(1),affine(0n+2))\n",
+    ],
+    ids=["const", "affine", "alt"],
+)
+def test_classify_answers_on_a_side_anchored_far_from_the_window(files, text, capsys):
+    # more than --cap steps from the anchor to the window, a few dozen members in it
+    code = main(["classify", "--space", files("s.sp", text)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.startswith("verdict: plastic (R2)\n")
+
+
+@pytest.mark.parametrize(
+    "text, cap, message",
+    [
+        ("gapseq: anchor=100000 left=const(1)\n", "20",
+         "gap rule const(1) puts more than 20 points in [-10,10]"),
+        ("arith: anchor=1/2 step=1 dir=right\n", "8",
+         "gap rule const(1) puts more than 8 points in [-10,10]"),
+        ("gapseq: anchor=0 right=recip(n+0)\n", "3",
+         "gap rule recip(n+0) did not reach the edge 10 in 3 steps"),
+    ],
+    ids=["const", "arith", "recip"],
+)
+def test_a_side_beyond_the_cap_exits_two_with_one_line(files, text, cap, message, capsys):
+    code = main(["classify", "--space", files("s.sp", text), "--cap", cap])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"plasti classify: {message}\n"
+
+
 # -------------------------------------------------------------------
 # one parser per process, and only the report asked for
 # -------------------------------------------------------------------

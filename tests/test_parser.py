@@ -18,7 +18,7 @@ from plasti.parser import (
 from plasti.scalar import is_finite
 from plasti.space import (
     UNBOUNDED,
-    ArithmeticProgression,
+    ConstantGaps,
     Endpoint,
     FinitePoints,
     GapSequence,
@@ -281,10 +281,10 @@ def test_endpoint_values_render_and_parse():
 
 
 def test_arith_direction_tokens():
-    for token in ("left", "right", "both"):
+    step = ConstantGaps(F(2))
+    sides = {"left": (step, None), "right": (None, step), "both": (step, step)}
+    for token, (left, right) in sides.items():
         space = parse_space(f"arith: anchor=0 step=2 dir={token}\n")
-        (component,) = space.components
-        assert isinstance(component, ArithmeticProgression)
-        assert component.direction == token
+        assert space.components == (GapSequence(F(0), left=left, right=right),)
     with pytest.raises(ParseError):
         parse_space("arith: anchor=0 step=2 dir=up\n")

@@ -30,6 +30,8 @@ from plasti.scalar import format_scalar
 from plasti.space import (
     AffineGaps,
     AlternatingGaps,
+    DEFAULT_CAP,
+    DEFAULT_WINDOW,
     ArithmeticProgression,
     ConstantGaps,
     ExplicitGaps,
@@ -156,14 +158,6 @@ def reference_next_above(comp, x, cap):
     if isinstance(comp, FinitePoints):
         i = bisect.bisect_right(comp.points, x)
         return (comp.points[i] if i < len(comp.points) else None), None
-    if isinstance(comp, ArithmeticProgression):
-        a, s = comp.anchor, comp.step
-        k = ((x - a) / s).__floor__() + 1
-        if comp.direction == "right":
-            k = max(k, 0)
-        if comp.direction == "left" and k > 0:
-            return None, None
-        return a + k * s, None
     cands = []
     if comp.anchor > x:
         cands.append(comp.anchor)
@@ -237,13 +231,10 @@ def reference_successor(space, x, cap):
 
 def mirrored(space):
     """The mirror image x -> -x of a space of discrete components."""
-    flip = {"left": "right", "right": "left", "both": "both"}
 
     def mirror(comp):
         if isinstance(comp, FinitePoints):
             return FinitePoints(tuple(-p for p in reversed(comp.points)))
-        if isinstance(comp, ArithmeticProgression):
-            return ArithmeticProgression(-comp.anchor, comp.step, flip[comp.direction])
         return GapSequence(-comp.anchor, left=comp.right, right=comp.left)
 
     return SubspaceDescription(tuple(mirror(c) for c in space.components))
@@ -316,10 +307,38 @@ TWO_SIDED = SubspaceDescription(
 )
 
 
+# more steps than any drawn divergent side takes to leave its window
+WALK_LIMIT = 10**4
+
+
+def listed_side_points(comp: GapSequence, window: Window, cap: int) -> tuple:
+    """walked_side_points with the cap read as the materialization reads
+    it: a convergent side is still cut after cap steps, but a divergent
+    side is walked out of the window, however far, and refused only when
+    more than cap of its members lie in the window."""
+    points, truncated, zones = [], [], []
+    for name in ("right", "left"):
+        program = getattr(comp, name)
+        if program is None:
+            continue
+        walk_cap = cap if program.converges else WALK_LIMIT
+        one_side = GapSequence(comp.anchor, **{name: program})
+        side, cut, zone = walked_side_points(one_side, window, walk_cap)
+        members = [p for p in side if p != comp.anchor]
+        if len(members) > cap:
+            raise RuleDivergence(f"gap rule {program} puts more than {cap} points in {window}")
+        points += members
+        truncated += cut
+        zones += zone
+    if window.contains(comp.anchor):
+        points.append(comp.anchor)
+    return tuple(sorted(points)), tuple(truncated), tuple(zones)
+
+
 @given(closed_sum_cases())
-@example((CONST_1, Window(F(-1), F(5)), 5))  # the cap-th point is the edge: the cap hits
+@example((CONST_1, Window(F(-1), F(5)), 5))  # five members in the window, as many as the cap
 @example((CONST_1, Window(F(-1), F(5)), 6))  # one more step leaves the window
-@example((CONST_1, Window(F(2), F(5)), 2))  # the cap hits before the window
+@example((CONST_1, Window(F(2), F(5)), 2))  # four members in the window, more than the cap
 @example((TAIL, Window(F(0), F(10)), 30))  # truncated at the limit 1/4
 @example((TAIL, Window(F(1, 4), F(1, 3)), 30))  # the limit is the window edge
 @example((TAIL, Window(F(1, 3), F(1)), 8))  # the walk leaves at the lower edge
@@ -329,8 +348,41 @@ TWO_SIDED = SubspaceDescription(
 def test_closed_sum_sides_match_the_walk(case):
     comp, window, cap = case
     assert outcome(_materialize_points, comp, window, cap) == outcome(
-        walked_side_points, comp, window, cap
+        listed_side_points, comp, window, cap
     )
+
+
+@pytest.mark.parametrize(
+    "window, cap, expected",
+    [
+        (Window(F(-1), F(5)), 5, ("value", (tuple(F(k) for k in range(6)), (), ()))),
+        (
+            Window(F(2), F(5)),
+            2,
+            ("RuleDivergence", "gap rule const(1) puts more than 2 points in [2,5]"),
+        ),
+    ],
+)
+def test_the_cap_bounds_the_members_a_side_lists_in_the_window(window, cap, expected):
+    # the walk needs 6 and 5 steps from the anchor; the window holds 5 and 4 members
+    assert outcome(_materialize_points, CONST_1, window, cap) == expected
+
+
+FAR_SIDES = [
+    GapSequence(F(10**5), left=ConstantGaps(F(1))),
+    GapSequence(F(-(10**5)), right=AffineGaps(F(1, 10**5), F(1, 2))),
+    GapSequence(F(10**5), left=AlternatingGaps((ConstantGaps(F(1)), AffineGaps(F(0), F(2))))),
+]
+
+
+@pytest.mark.parametrize("comp", FAR_SIDES, ids=["const", "affine", "alt"])
+def test_a_side_anchored_far_from_the_window_is_listed(comp):
+    # each side takes more than DEFAULT_CAP steps to reach [-10,10], which
+    # holds a few dozen of its members
+    mat = materialize(SubspaceDescription((comp,)), DEFAULT_WINDOW, DEFAULT_CAP)
+    assert 0 < len(mat.points) < 50
+    walked = walked_side_points(comp, DEFAULT_WINDOW, 2 * 10**5)
+    assert (mat.points, mat.truncated_near, mat.truncation_zones) == walked
 
 
 def test_a_far_window_is_reached_without_walking_to_it():
@@ -627,3 +679,77 @@ def test_member_and_shift_on_float_ties_match_the_references(cluster, extra, ste
         i = 0 if x in cluster else 1
         scope = SubspaceDescription((space.components[i],))
         assert mat.shift(i, x, steps) == reference_shift(scope, x, steps, cap)
+
+
+# -------------------------------------------------------------------
+# Progressions against their own arithmetic
+# -------------------------------------------------------------------
+#
+# A progression is a gap sequence with const(step) sides. The arithmetic
+# that once answered for it as a component kind of its own stays here as
+# the reference: the closed-form range of k with a + k*s in the window,
+# k-integrality for membership, and floor + 1 for the next member.
+
+
+def progression_points(anchor, step, direction, window, cap) -> tuple:
+    """The members a + k*s in the window; each side (k > 0, k < 0) may hold at most cap."""
+    k_lo = -((anchor - window.lo) / step).__floor__()  # smallest k with a + k s >= lo
+    k_hi = ((window.hi - anchor) / step).__floor__()  # largest k with a + k s <= hi
+    if direction == "right":
+        k_lo = max(k_lo, 0)
+    if direction == "left":
+        k_hi = min(k_hi, 0)
+    for count in (k_hi - max(k_lo, 1) + 1, min(k_hi, -1) - k_lo + 1):
+        if count > cap:
+            raise RuleDivergence(
+                f"gap rule const({format_scalar(step)}) puts more than {cap} points in {window}"
+            )
+    return tuple(anchor + k * step for k in range(k_lo, k_hi + 1))
+
+
+def progression_contains(anchor, step, direction, x) -> bool:
+    k = (x - anchor) / step
+    return k.denominator == 1 and not (
+        direction == "right" and k < 0 or direction == "left" and k > 0
+    )
+
+
+def progression_next(anchor, step, direction, x, toward):
+    """The nearest member beyond x, upward (toward 1) or downward (-1)."""
+    k = (toward * (x - anchor) / step).__floor__() + 1  # steps from the anchor, toward
+    if direction == ("right" if toward > 0 else "left"):
+        k = max(k, 0)
+    elif direction != "both" and k > 0:
+        return None
+    return anchor + toward * k * step
+
+
+far_anchors = st.sampled_from([0, 10**6, -(10**6), 10**30, -(10**30)]).flatmap(
+    lambda base: offsets.map(lambda t: base + t)
+)
+
+
+@given(
+    far_anchors,
+    positive,
+    st.sampled_from(["left", "right", "both"]),
+    windows_near(F(0)),
+    st.integers(1, 60),
+)
+@example(F(10**6), F(1), "left", Window(F(-10), F(10)), 20)  # the window holds 21 members
+@example(F(10**6), F(1), "left", Window(F(-10), F(10)), 21)
+@example(F(-(10**30)), F(1, 3), "right", Window(F(-1), F(5)), 18)
+@example(F(0), F(1), "both", Window(F(-5), F(5)), 5)  # 11 members, 5 on each side
+def test_progressions_match_their_arithmetic(anchor, step, direction, window, cap):
+    comp = ArithmeticProgression(anchor, step, direction)
+    expected = outcome(progression_points, anchor, step, direction, window, cap)
+    if expected[0] == "value":
+        expected = ("value", (expected[1], (), ()))
+    assert outcome(_materialize_points, comp, window, cap) == expected
+    space = SubspaceDescription((comp,))
+    xs = [window.lo, window.hi, (window.lo + window.hi) / 2, anchor, anchor + step / 2]
+    xs += [anchor + k * step for k in (-2, -1, 1, 2)]
+    for x in xs:
+        assert component_contains(comp, x, cap) == progression_contains(anchor, step, direction, x)
+        assert successor(space, x, cap) == progression_next(anchor, step, direction, x, 1)
+        assert predecessor(space, x, cap) == progression_next(anchor, step, direction, x, -1)
