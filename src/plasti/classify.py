@@ -36,11 +36,11 @@ from .space import (
     BOTH,
     DEFAULT_CAP,
     DEFAULT_WINDOW,
+    INFINITE,
     LEFT,
     RIGHT,
     Endpoint,
     HalfLine,
-    InfiniteCount,
     Interval,
     PeriodicIntervals,
     SequenceView,
@@ -302,7 +302,7 @@ def _rule_rare_extremal_gap(space, ctx) -> Optional[_Match]:
         return None
     chosen = None
     for entry, kind in ((spectrum.min_entry, "smallest"), (spectrum.max_entry, "largest")):
-        if entry is not None and not isinstance(entry[1], InfiniteCount):
+        if entry is not None and entry[1] != INFINITE:
             chosen = (entry, kind)
             break
     if chosen is None:
@@ -571,7 +571,7 @@ def classify(
     ctx = {
         "bounds": is_bounded(space),
         "accumulation": accumulation_points(space),
-        "view": sequence_view(space, cap),
+        "view": sequence_view(space),
     }
     ctx["spectrum"] = gap_spectrum(space, None, cap) if ctx["view"] is not None else None
     trace = []

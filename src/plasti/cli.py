@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -417,10 +418,18 @@ def main(argv=None) -> int:
         print("plasti oracle: exactly one of --points or --space", file=sys.stderr)
         return ERROR
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, while it can be caught
     except PlastiError as err:
         print(f"plasti {args.command}: {_one_line(str(err))}", file=sys.stderr)
         return ERROR
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `plasti gallery list | head -1`).
+        # Point stdout at devnull so the flush at exit cannot fail again, as
+        # the "Note on SIGPIPE" in the signal module's documentation advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAIL
+    return code
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from .maps import (
     full_line,
     lipschitz_upper,
     orbit,
-    set_gallery_resolver,
 )
 from .oracle import plastic_bruteforce
 from .scalar import NEG_INF, POS_INF, Scalar, format_scalar
@@ -48,7 +47,6 @@ from .space import (
     ATTAINED,
     BOTH,
     CLOSED,
-    DEFAULT_CAP,
     LEFT,
     LEFT_CLOSED,
     OPEN,
@@ -91,7 +89,6 @@ class GalleryEntry:
     maps: tuple  # (name, MapDescription) pairs
     window: Window
     expectations: tuple
-    cap: int = DEFAULT_CAP
 
     def map_named(self, name: str) -> MapDescription:
         for n, m in self.maps:
@@ -149,12 +146,12 @@ class _Facts:
     @cached_property
     def verdict(self) -> Verdict:
         e = self.entry
-        return classify(e.space, e.window, e.cap)
+        return classify(e.space, e.window)
 
     @cached_property
     def witness_check(self) -> WitnessVerification:
         e = self.entry
-        return verify_witness(e.space, self.verdict.witness, e.window, e.cap)
+        return verify_witness(e.space, self.verdict.witness, e.window)
 
     @cached_property
     def falsifications(self) -> tuple:
@@ -162,7 +159,7 @@ class _Facts:
         if self.verdict.outcome == UNKNOWN:
             return self.verdict.falsifications
         e = self.entry
-        return run_falsifications(e.space, e.window, e.cap)
+        return run_falsifications(e.space, e.window)
 
 
 @lru_cache(maxsize=1)
@@ -177,7 +174,7 @@ def _facts(entry: GalleryEntry) -> _Facts:
 
 def _check(map_name: str, check_fn, want_pass: bool, label: str) -> Expectation:
     def run(entry):
-        report = check_fn(entry.map_named(map_name), entry.space, entry.window, entry.cap)
+        report = check_fn(entry.map_named(map_name), entry.space, entry.window)
         ok = report.passed == want_pass
         detail = report.render().splitlines()[0]
         if report.witness is not None and not report.passed:
@@ -222,7 +219,7 @@ def _no_surviving_falsification() -> Expectation:
 
 def _value(map_name: str, x: Scalar, want: Scalar, note: str) -> Expectation:
     def run(entry):
-        got = eval_map(entry.map_named(map_name), entry.space, x, entry.cap)
+        got = eval_map(entry.map_named(map_name), entry.space, x)
         return got == want, f"{format_scalar(x)} -> {format_scalar(got)}"
 
     return Expectation(note, run)
@@ -287,7 +284,7 @@ def _example1() -> GalleryEntry:
         return True, "all strict inequalities hold for n, m in 4..50 and a in 1..10"
 
     def orbit_spot(entry):
-        got = orbit(entry.map_named("relocate"), entry.space, F(2), 4, entry.cap)
+        got = orbit(entry.map_named("relocate"), entry.space, F(2), 4)
         want = (F(2), F(1), F(0), F(1, 2), F(9, 20))
         return got == want, " -> ".join(format_scalar(v) for v in got)
 
@@ -295,7 +292,7 @@ def _example1() -> GalleryEntry:
         phi_ = entry.map_named("relocate")
         bad = []
         for n in range(4, 51):
-            got = eval_map(phi_, entry.space, q(n), entry.cap)
+            got = eval_map(phi_, entry.space, q(n))
             if got != q(n + 1):
                 bad.append(n)
         return not bad, "each tail member moves one step toward the accumulation value"
@@ -348,7 +345,7 @@ def _example2() -> GalleryEntry:
 
     def triple(entry):
         phi_ = entry.map_named("junction")
-        imgs = tuple(eval_map(phi_, entry.space, x, entry.cap) for x in (F(-4), F(-2), F(0)))
+        imgs = tuple(eval_map(phi_, entry.space, x) for x in (F(-4), F(-2), F(0)))
         ordered = imgs[0] < imgs[1] < imgs[2]
         return imgs == (F(2), F(1), F(3)) and not ordered, (
             f"images of (-4, -2, 0) are ({', '.join(format_scalar(v) for v in imgs)})"
@@ -356,7 +353,7 @@ def _example2() -> GalleryEntry:
 
     def boundary_pair(entry):
         phi_ = entry.map_named("junction")
-        a, b = eval_map(phi_, entry.space, F(-2), entry.cap), eval_map(phi_, entry.space, F(-4), entry.cap)
+        a, b = eval_map(phi_, entry.space, F(-2)), eval_map(phi_, entry.space, F(-4))
         return abs(a - b) == F(1), f"distance 2 becomes {format_scalar(abs(a - b))}"
 
     return GalleryEntry(
@@ -395,7 +392,7 @@ def _example310() -> GalleryEntry:
     )
 
     def spectrum_open_ended(entry):
-        spectrum = gap_spectrum(entry.space, None, entry.cap)
+        spectrum = gap_spectrum(entry.space)
         ok = spectrum.min_entry is None and spectrum.max_entry is None
         return ok, "no smallest and no largest adjacent gap (both ends open)"
 
@@ -403,8 +400,8 @@ def _example310() -> GalleryEntry:
         # Sending the central unit pair onto the 1/3 gap starting at 7/2
         # would need the ball of radius 2 there to hold at least as many
         # members as the ball at 0; it holds fewer.
-        big = ball_census(entry.space, F(0), F(2), entry.window, entry.cap)
-        small = ball_census(entry.space, F(7, 2), F(2), entry.window, entry.cap)
+        big = ball_census(entry.space, F(0), F(2), entry.window)
+        small = ball_census(entry.space, F(7, 2), F(2), entry.window)
         return (big, small) == (4, 2) and big > small, (
             f"census(0, 2) = {big} exceeds census(7/2, 2) = {small}; the relocation is impossible"
         )
@@ -444,7 +441,7 @@ def _prop31() -> GalleryEntry:
     )
 
     def spectrum(entry):
-        spec = gap_spectrum(entry.space, None, entry.cap)
+        spec = gap_spectrum(entry.space)
         values = sorted(v for v, _ in spec.entries)
         return spec.complete and values == [F(1), F(2)], (
             "adjacent gaps are exactly {1, 2}, both of infinite multiplicity"
@@ -475,7 +472,7 @@ def _prop313() -> GalleryEntry:
 
     def lipschitz_is_one(entry):
         verdict = _facts(entry).verdict
-        bound, _ = lipschitz_upper(verdict.witness, entry.space, entry.window, entry.cap)
+        bound, _ = lipschitz_upper(verdict.witness, entry.space, entry.window)
         return bound == F(1), f"witness Lipschitz bound {format_scalar(bound)}"
 
     return GalleryEntry(
@@ -563,7 +560,7 @@ def _integers() -> GalleryEntry:
     )
 
     def window_oracle(entry):
-        pts = materialize(entry.space, Window(F(-3), F(3)), entry.cap).points
+        pts = materialize(entry.space, Window(F(-3), F(3))).points
         verdict = plastic_bruteforce(pts)
         return verdict.plastic and verdict.bijections == 2, (
             f"the {len(pts)}-point window slice admits exactly "
@@ -677,7 +674,9 @@ def gallery_entry(entry_id: str) -> GalleryEntry:
         raise UnknownGalleryId(f"no gallery entry {entry_id!r} (known: {known})") from None
 
 
-def _resolve_map(name: str) -> MapDescription:
+def gallery_map(name: str) -> MapDescription:
+    """The map a ``gallery: <id>[:<map>]`` line names: the entry's map of
+    that name, or its only map when the name is left out."""
     entry_id, _, map_name = name.partition(":")
     entry = gallery_entry(entry_id)
     if map_name:
@@ -688,5 +687,3 @@ def _resolve_map(name: str) -> MapDescription:
         f"entry {entry_id!r} needs a map name, one of: {', '.join(n for n, _ in entry.maps)}"
     )
 
-
-set_gallery_resolver(_resolve_map)

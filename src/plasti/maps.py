@@ -112,42 +112,16 @@ Clause = Union[Table, AffinePiece, IndexShift]
 
 @dataclass(frozen=True)
 class MapDescription:
-    clauses: tuple = ()
+    clauses: tuple
     inverse: Optional["MapDescription"] = None
-    gallery_name: Optional[str] = None
 
     def __post_init__(self):
-        if self.gallery_name is None and not self.clauses:
+        if not self.clauses:
             raise MapError("a map needs at least one clause")
-        if self.gallery_name is not None and self.clauses:
-            raise MapError("a gallery reference carries no clauses of its own")
 
 
 def full_line() -> Interval:
     return Interval(Endpoint(NEG_INF, False), Endpoint(POS_INF, False))
-
-
-# --- gallery reference resolution -----------------------------------
-#
-# The gallery registers a resolver at import time; maps stays free of a
-# circular import and map files can say `gallery: <id>`.
-
-_gallery_resolver = None
-
-
-def set_gallery_resolver(fn) -> None:
-    global _gallery_resolver
-    _gallery_resolver = fn
-
-
-def resolve(desc: MapDescription) -> MapDescription:
-    if desc.gallery_name is None:
-        return desc
-    if _gallery_resolver is None:
-        raise MapError("no gallery available to resolve map references")
-    if desc.inverse is not None:
-        raise MapError("a gallery reference brings its own inverse")
-    return _gallery_resolver(desc.gallery_name)
 
 
 # ===================================================================
@@ -242,7 +216,6 @@ def eval_map(
     desc: MapDescription, space: SubspaceDescription, x: Scalar, cap: int = DEFAULT_CAP
 ) -> Scalar:
     """Evaluate the map at a member. Exactly one clause must claim x."""
-    desc = resolve(desc)
     if not contains(space, x, cap):
         raise OutsideDomain(f"{format_scalar(x)} is not a member of the space")
     return _eval_member(desc, space, x, cap)
@@ -255,7 +228,7 @@ def _eval_member(
     cap: int,
     mat: Optional[Materialization] = None,
 ) -> Scalar:
-    """eval_map for a resolved map at an x already known to be a member;
+    """eval_map at an x already known to be a member;
     a window materialization, when given, answers index facts it decides."""
     return _apply_clause(_claiming_clause(desc, space, x, cap, mat), space, x, cap, mat)
 
@@ -282,7 +255,6 @@ def derive_inverse(desc: MapDescription) -> MapDescription:
     Index shifts invert by negating the step count but their restriction
     would need the shifted image; those inverses are declared by hand.
     """
-    desc = resolve(desc)
     clauses = []
     for c in desc.clauses:
         if isinstance(c, Table):
@@ -372,6 +344,10 @@ def _clip(value, lo: Scalar, hi: Scalar) -> Scalar:
     return min(max(value, lo), hi)
 
 
+# One map's checks run back to back (the bijection check adds its
+# inverse), so two entries cover them. The bound keeps memory flat: each
+# entry pins a materialization and one exact image per window member.
+@lru_cache(maxsize=2)
 def collect_samples(
     desc: MapDescription,
     space: SubspaceDescription,
@@ -384,16 +360,6 @@ def collect_samples(
     anywhere on the window (a stretch or single member with zero or two
     claiming clauses), mirroring what evaluation would do there.
     """
-    return _collect_samples(resolve(desc), space, window, cap)
-
-
-# One map's checks run back to back (the bijection check adds its
-# inverse), so two entries cover them. The bound keeps memory flat: each
-# entry pins a materialization and one exact image per window member.
-@lru_cache(maxsize=2)
-def _collect_samples(
-    desc: MapDescription, space: SubspaceDescription, window: Window, cap: int
-) -> WindowSamples:
     mat = materialize(space, window, cap)
     pts = list(mat.points)
     subsampled = False
@@ -773,13 +739,12 @@ def check_bijection(
     infinite description, so InverseMissing is raised unless the space is
     finite and fully enumerated, where the image can be compared directly.
     """
-    desc = resolve(desc)
     ws = collect_samples(desc, space, window, cap)
     witness = _collision(ws)
     if witness is not None:
         return _report("bijection", window, ws, witness)
     if desc.inverse is not None:
-        inv = resolve(desc.inverse)
+        inv = desc.inverse
         # Validating the inverse's clause cover matters even when the
         # forward side sampled no members (pure interval spaces): a member
         # no inverse clause claims is a member the image misses.

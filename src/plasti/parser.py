@@ -12,6 +12,7 @@ from typing import Optional
 
 from .errors import ParseError, PlastiError
 from .extend import INNER, OUTER, AugmentedSpace, FiniteSpace, matrix_from_pairs
+from .gallery import gallery_map
 from .maps import AffinePiece, IndexShift, MapDescription, Table
 from .scalar import format_scalar, parse_extended, parse_scalar
 from .space import (
@@ -226,6 +227,8 @@ def parse_space(text: str) -> SubspaceDescription:
                 left = parse_gap_rule(f.pop("left"), line) if "left" in f else None
                 right = parse_gap_rule(f.pop("right"), line) if "right" in f else None
                 _no_extras(f, line, "gapseq")
+                if left is None and right is None:
+                    raise ParseError("GapSequence needs at least one side", line, 1)
                 components.append(GapSequence(anchor, left=left, right=right))
             elif directive == "periodic":
                 f = _fields(rest, line)
@@ -324,28 +327,29 @@ def _parse_bound(value: str, line: int) -> BoundDecl:
 
 def parse_map(text: str) -> MapDescription:
     """Assemble a map from ``table:``, ``piece:``, ``idxshift:``,
-    ``gallery:`` and ``inverse:`` directives."""
+    ``gallery:`` and ``inverse:`` directives. A ``gallery: <id>[:<map>]``
+    line is resolved here to the gallery map it names."""
     clauses = []
     inverse_clauses = []
-    gallery_name = None
+    reference = None
 
     for line, body in _lines(text):
         directive, rest = _split_directive(body, line)
         if directive == "inverse":
             inverse_clauses.append(_parse_map_clause(rest, line))
         elif directive == "gallery":
-            if gallery_name is not None:
+            if reference is not None:
                 raise ParseError("gallery declared twice", line, 1)
             if not rest or " " in rest:
                 raise ParseError("gallery wants a single identifier", line, 1)
-            gallery_name = rest
+            reference = rest
         else:
             clauses.append(_parse_map_clause(body, line))
 
-    if gallery_name is not None:
+    if reference is not None:
         if clauses or inverse_clauses:
             raise ParseError("a gallery reference stands alone (it carries its own inverse)", 1, 1)
-        return MapDescription(gallery_name=gallery_name)
+        return gallery_map(reference)
     if not clauses:
         raise ParseError("map file has no clause directive", 1, 1)
     inverse = MapDescription(clauses=tuple(inverse_clauses)) if inverse_clauses else None
@@ -399,8 +403,6 @@ def _parse_map_clause(body: str, line: int):
 
 def render_map(desc: MapDescription) -> str:
     """Print a description in the exact grammar ``parse_map`` reads."""
-    if desc.gallery_name is not None:
-        return f"gallery: {desc.gallery_name}\n"
     lines = [_render_clause(c) for c in desc.clauses]
     if desc.inverse is not None:
         lines.extend("inverse: " + _render_clause(c) for c in desc.inverse.clauses)

@@ -1,12 +1,15 @@
 """Exact symbolic subspaces of the real line.
 
-A subspace is a disjoint union of catalog components: finite point sets,
-gap-rule sequences, periodic interval unions, explicit interval lists, and
-half-lines. An arithmetic progression (``arith:`` in a space file) is
-shorthand for a gap sequence with ``const(step)`` sides. Everything is
-exact rational arithmetic; infinite components are handled symbolically
-and materialized on finite windows. Checks on infinite descriptions are
-certificates for the window, never proofs.
+A subspace is a disjoint union of catalog components: gap-rule
+sequences, periodic interval unions, explicit interval lists, and
+half-lines. A gap sequence is the one discrete kind. An arithmetic
+progression (``arith:`` in a space file) is shorthand for a gap sequence
+with ``const(step)`` sides, and a finite point set (``points:``) for one
+anchored at its least point with an explicit right side, or for the bare
+anchor when it has one point. Everything is exact rational arithmetic;
+infinite components are handled symbolically and materialized on finite
+windows. Checks on infinite descriptions are certificates for the window,
+never proofs.
 """
 
 from __future__ import annotations
@@ -44,35 +47,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class InfiniteCount:
-    """Multiplicity marker for a gap realized by unboundedly many pairs."""
+# The multiplicity of a gap realized by unboundedly many pairs.
+INFINITE = inf
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "infinite"
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteCount)
-
-    def __hash__(self):
-        return hash("InfiniteCount")
-
-
-INFINITE = InfiniteCount()
-
-Multiplicity = Union[int, InfiniteCount]
-
-
-def _add_mult(a: Multiplicity, b: Multiplicity) -> Multiplicity:
-    if isinstance(a, InfiniteCount) or isinstance(b, InfiniteCount):
-        return INFINITE
-    return a + b
+Multiplicity = Union[int, float]  # a count, or INFINITE
 
 
 # ===================================================================
@@ -202,8 +180,8 @@ DEFAULT_WINDOW = Window(Fraction(-10), Fraction(10))
 # finiteness. An atom's gap stream is monotone; the atom states its
 # direction (`trend`) and `_Atom` derives what follows from it. `alt`
 # combines the answers of its atoms. An `explicit` side is read from its
-# list by the side locator and unfolded into points wherever gap facts
-# are asked, so it states only its finiteness and total.
+# prefix sums by the side locator and unfolded into points wherever gap
+# facts are asked, so it states only its finiteness, prefix sums and total.
 
 
 def _as_index(n: Scalar) -> tuple:
@@ -220,7 +198,7 @@ def _attained_extremum(bounds: list, pick) -> Optional[tuple]:
         if v == best:
             if not m:
                 return None
-            mult = _add_mult(mult, m)
+            mult += m
     return best, mult
 
 
@@ -543,10 +521,7 @@ class AlternatingGaps:
         )
 
     def count_of(self, v: Scalar) -> Multiplicity:
-        total: Multiplicity = 0
-        for a in self.atoms:
-            total = _add_mult(total, a.count_of(v))
-        return total
+        return sum(a.count_of(v) for a in self.atoms)
 
     def minimum(self) -> Optional[tuple]:
         return _attained_extremum([a.inf for a in self.atoms], min)
@@ -598,9 +573,14 @@ class ExplicitGaps:
             if v <= 0:
                 raise SpaceError("gaps must be positive")
 
+    @cached_property
+    def sums(self) -> tuple:
+        """The partial sums S(1), ..., S(len), computed on first use."""
+        return tuple(accumulate(self.values))
+
     @property
     def total(self) -> Scalar:
-        return sum(self.values, ZERO)
+        return self.sums[-1]
 
     def __str__(self):
         return "explicit(" + ",".join(format_scalar(v) for v in self.values) + ")"
@@ -767,27 +747,25 @@ _TOPOLOGIES = (OPEN, CLOSED, LEFT_CLOSED, RIGHT_CLOSED)
 
 
 @dataclass(frozen=True)
-class FinitePoints:
-    points: tuple
-
-    def __post_init__(self):
-        if not self.points:
-            raise SpaceError("FinitePoints must be nonempty")
-        if any(a >= b for a, b in zip(self.points, self.points[1:])):
-            raise SpaceError("FinitePoints must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class GapSequence:
-    """Anchor point with gap-rule sides walking left and/or right."""
+    """Anchor point with gap-rule sides walking left and/or right; with no
+    side it is the anchor alone."""
 
     anchor: Scalar
     left: Optional[GapProgram] = None
     right: Optional[GapProgram] = None
 
-    def __post_init__(self):
-        if self.left is None and self.right is None:
-            raise SpaceError("GapSequence needs at least one side")
+
+def FinitePoints(points: tuple) -> GapSequence:
+    """The finite set of the strictly increasing ``points``: a gap sequence
+    anchored at the first whose explicit right side lists the gaps, or the
+    bare anchor for a single point."""
+    if not points:
+        raise SpaceError("FinitePoints must be nonempty")
+    gaps = tuple(b - a for a, b in zip(points, points[1:]))
+    if any(g <= 0 for g in gaps):
+        raise SpaceError("FinitePoints must be strictly increasing")
+    return GapSequence(points[0], right=ExplicitGaps(gaps) if gaps else None)
 
 
 def ArithmeticProgression(anchor: Scalar, step: Scalar, direction: str) -> GapSequence:
@@ -867,9 +845,8 @@ class HalfLine:
         return Interval(Endpoint(NEG_INF, False), self.endpoint)
 
 
-Component = Union[FinitePoints, GapSequence, PeriodicIntervals, IntervalList, HalfLine]
+Component = Union[GapSequence, PeriodicIntervals, IntervalList, HalfLine]
 
-_DISCRETE_KINDS = (FinitePoints, GapSequence)
 _INTERVAL_KINDS = (PeriodicIntervals, IntervalList, HalfLine)
 
 
@@ -905,7 +882,7 @@ class SubspaceDescription:
 
     @property
     def discrete(self) -> bool:
-        return all(isinstance(c, _DISCRETE_KINDS) for c in self.components)
+        return all(isinstance(c, GapSequence) for c in self.components)
 
 
 # ===================================================================
@@ -942,8 +919,6 @@ def _side_bound(anchor: Scalar, program: Optional[GapProgram], sign: int) -> Bou
 
 
 def component_bounds(comp: Component) -> Bounds:
-    if isinstance(comp, FinitePoints):
-        return Bounds(BoundInfo(True, comp.points[0], True), BoundInfo(True, comp.points[-1], True))
     if isinstance(comp, GapSequence):
         return Bounds(
             _side_bound(comp.anchor, comp.left, -1), _side_bound(comp.anchor, comp.right, 1)
@@ -1067,18 +1042,19 @@ def _side_stops(
 ) -> _Stops:
     """Count the members of one side out to an offset bound from its anchor.
 
-    The one place that decides how a side is read: an explicit list by its
-    prefix sums, a closed-sum rule by inverting its partial sums, and any
-    other rule by walking it gap by gap for at most ``cap`` steps. Explicit
-    and closed-sum sides answer without the cap, so membership, adjacency
-    and listing on them cost the same at any offset. The bound must lie
-    below the total of a convergent side.
+    The one place that decides how a side is read: an explicit list by
+    bisecting its prefix sums, a closed-sum rule by inverting its partial
+    sums, and any other rule by walking it gap by gap for at most ``cap``
+    steps. Explicit and closed-sum sides answer without the cap and build
+    only the members asked for, so membership, adjacency and listing on
+    them cost the same at any offset. The bound must lie below the total of
+    a convergent side.
     """
     if program.finite:
-        sums = list(accumulate(program.values))
-        members = [anchor + sign * s for s in sums]
+        sums = program.sums
         count = (bisect.bisect_left if strict else bisect.bisect_right)(sums, bound)
-        return _Stops(count, lambda first, last: members[first - 1 : last])
+        step = operator.add if sign > 0 else operator.sub
+        return _Stops(count, lambda first, last: [step(anchor, s) for s in sums[first - 1 : last]])
     if program.closed_sums:
         return _Stops(
             _max_n_with_sum_below(program, bound, strict),
@@ -1119,9 +1095,6 @@ def _side_member(anchor: Scalar, program: Optional[GapProgram], sign: int, x: Sc
 
 
 def component_contains(comp: Component, x: Scalar, cap: int = DEFAULT_CAP) -> bool:
-    if isinstance(comp, FinitePoints):
-        i = bisect.bisect_left(comp.points, x)
-        return i < len(comp.points) and comp.points[i] == x
     if isinstance(comp, GapSequence):
         if x == comp.anchor:
             return True
@@ -1296,9 +1269,9 @@ class Materialization:
         return y
 
 
-def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
-    """(points, truncated_near, truncation_zones) for a discrete component,
-    with the points ascending.
+def _materialize_points(comp: GapSequence, window: Window, cap: int) -> tuple:
+    """(points, truncated_near, truncation_zones) for a gap sequence, with
+    the points ascending.
 
     Each side is listed by the index range of its members in the window.
     A rule side lists at most ``cap`` of them: a divergent side with more
@@ -1308,8 +1281,6 @@ def _materialize_points(comp: Component, window: Window, cap: int) -> tuple:
     explicit side is listed whole.
     """
     lo, hi = window.lo, window.hi
-    if isinstance(comp, FinitePoints):
-        return tuple(p for p in comp.points if lo <= p <= hi), (), ()
     truncated = []
     zones = []
 
@@ -1418,7 +1389,7 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
     zones: list = []
     per_component: list = []
     for comp in space.components:
-        if isinstance(comp, _DISCRETE_KINDS):
+        if isinstance(comp, GapSequence):
             pts, trunc, zs = _materialize_points(comp, window, cap)
             per_component.append(pts)
             points.extend(pts)
@@ -1474,13 +1445,6 @@ def _component_next(comp: Component, x: Scalar, cap: int, toward: int):
     is no nearest one (else None)."""
     if isinstance(comp, _INTERVAL_KINDS):
         raise NotDiscrete("adjacency is only defined on discrete spaces")
-    if isinstance(comp, FinitePoints):
-        if toward > 0:
-            i = bisect.bisect_right(comp.points, x)
-            return (comp.points[i] if i < len(comp.points) else None), None
-        i = bisect.bisect_left(comp.points, x)
-        return (comp.points[i - 1] if i else None), None
-    # GapSequence
     nearer = operator.lt if toward > 0 else operator.gt
     best = comp.anchor if nearer(x, comp.anchor) else None
     blocking = None
@@ -1580,7 +1544,7 @@ class SequenceView:
         return tuple(b - a for a, b in zip(self.points, self.points[1:]))
 
 
-def sequence_view(space: SubspaceDescription, cap: int = DEFAULT_CAP) -> Optional[SequenceView]:
+def sequence_view(space: SubspaceDescription) -> Optional[SequenceView]:
     """Flatten a discrete, separated, accumulation-free space to a sequence.
 
     Returns None when the space has interval parts, accumulation points, or
@@ -1611,15 +1575,11 @@ def sequence_view(space: SubspaceDescription, cap: int = DEFAULT_CAP) -> Optiona
         if b.above.bounded:
             last_sup = b.above.value
 
-        if isinstance(comp, FinitePoints):
-            points.extend(comp.points)
-            continue
-        # GapSequence: explicit sides unfold into points, rule sides become tails.
+        # explicit sides unfold into points, rule sides become tails
         points.append(comp.anchor)
         for program, sign in ((comp.left, -1), (comp.right, 1)):
             if program is not None and program.finite:
-                stops = _side_stops(comp.anchor, program, sign, program.total, False, cap)
-                points.extend(stops.points(1, stops.count))
+                points.extend(comp.anchor + sign * s for s in program.sums)
         if comp.left is not None and not comp.left.finite:
             if not first:
                 return None
@@ -1642,18 +1602,15 @@ def _hull_key(comp: Component):
     return (0, lo)
 
 
-def _symbolic_spectrum(space: SubspaceDescription, cap: int) -> Optional[GapSpectrum]:
-    view = sequence_view(space, cap)
+def _symbolic_spectrum(space: SubspaceDescription) -> Optional[GapSpectrum]:
+    view = sequence_view(space)
     if view is None:
         return None
     middle = list(view.middle_gaps)
     tails = [t for t in (view.left, view.right) if t is not None]
 
     def count_of(v: Scalar) -> Multiplicity:
-        total: Multiplicity = sum(1 for g in middle if g == v)
-        for t in tails:
-            total = _add_mult(total, t.count_of(v))
-        return total
+        return sum(1 for g in middle if g == v) + sum(t.count_of(v) for t in tails)
 
     # Each extreme over the middle gaps and the tails' attained extremes; a
     # tail whose gaps only approach their bound leaves none.
@@ -1701,7 +1658,7 @@ def gap_spectrum(
     if not space.discrete:
         raise NotDiscrete("gap spectrum needs a space without interval parts")
     if window is None:
-        spectrum = _symbolic_spectrum(space, cap)
+        spectrum = _symbolic_spectrum(space)
         if spectrum is not None:
             return spectrum
         window = DEFAULT_WINDOW

@@ -38,6 +38,7 @@ from plasti.oracle import (
 from plasti.parser import parse_map, parse_space
 from plasti.plot import build_plot, render_svg
 from plasti.space import (
+    DEFAULT_CAP,
     ArithmeticProgression,
     FinitePoints,
     GapSequence,
@@ -146,9 +147,9 @@ def test_ac06_nonexpansive_maps_never_shrink_ball_counts(rng):
             continue  # ball counts are only exact over countable members
         for name, _ in entry.maps:
             desc = entry.map_named(name)
-            if not check_nonexpansive(desc, entry.space, entry.window, entry.cap).passed:
+            if not check_nonexpansive(desc, entry.space, entry.window, DEFAULT_CAP).passed:
                 continue
-            if not check_bijection(desc, entry.space, entry.window, entry.cap).passed:
+            if not check_bijection(desc, entry.space, entry.window, DEFAULT_CAP).passed:
                 continue
             qualified.append((entry, desc, f"{entry_id}:{name}"))
     assert qualified, "no verified non-expansive injective gallery map found"
@@ -156,7 +157,7 @@ def test_ac06_nonexpansive_maps_never_shrink_ball_counts(rng):
     radii = (F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2), F(2))
     for entry, desc, label in qualified:
         window = entry.window
-        members = materialize(entry.space, entry.window, entry.cap).points
+        members = materialize(entry.space, entry.window, DEFAULT_CAP).points
         accum = accumulation_points(entry.space)
 
         def span_ok(center, radius):
@@ -171,7 +172,7 @@ def test_ac06_nonexpansive_maps_never_shrink_ball_counts(rng):
             usable = [r for r in radii if span_ok(center, r)]
             if not usable:
                 continue
-            image_center = eval_map(desc, entry.space, center, entry.cap)
+            image_center = eval_map(desc, entry.space, center, DEFAULT_CAP)
             pool.extend(
                 (center, image_center, r) for r in usable if span_ok(image_center, r)
             )
@@ -182,7 +183,7 @@ def test_ac06_nonexpansive_maps_never_shrink_ball_counts(rng):
         def census(center, radius):
             key = (center, radius)
             if key not in counted:
-                counted[key] = ball_census(entry.space, center, radius, window, entry.cap)
+                counted[key] = ball_census(entry.space, center, radius, window, DEFAULT_CAP)
             return counted[key]
 
         for _ in range(50):

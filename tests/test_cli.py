@@ -326,6 +326,26 @@ def test_gallery_unknown_id(capsys):
     assert "no gallery entry" in err
 
 
+@pytest.mark.parametrize(
+    "command, reference, message",
+    [
+        ("check", "missing-entry", "no gallery entry 'missing-entry' (known: example1, example2, "
+         "example310, prop31, prop313, prop314-open, rem316-halfopen, rem317-mixed, integers, "
+         "r-minus-z, unit-interval-grid)"),
+        ("check", "unit-interval-grid", "entry 'unit-interval-grid' needs a map name, one of: "
+         "identity, flip"),
+        # resolved when the map file is read, so before the window is found empty
+        ("plot", "example1:nope", "entry example1 has no map named 'nope'"),
+    ],
+    ids=["unknown", "ambiguous", "plot"],
+)
+def test_a_bad_gallery_map_reference_is_one_line(files, capsys, command, reference, message):
+    argv = [command, "--space", files("s.sp", "points: 0 1 3\n"),
+            "--map", files("m.mp", f"gallery: {reference}\n"), "--window=5..6"]
+    assert main(argv + (["--which", "endo"] if command == "check" else [])) == 2
+    assert capsys.readouterr().err == f"plasti {command}: {message}\n"
+
+
 # -------------------------------------------------------------------
 # extend
 # -------------------------------------------------------------------
@@ -536,18 +556,38 @@ def test_json_mode_renders_no_text(files, monkeypatch):
     assert [_call(argv) for argv in calls] == before
 
 
+def _module_env() -> dict:
+    """The environment with this checkout's plasti first on the path."""
+    src = str(Path(plasti.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.mark.parametrize(
     "flags", [("-OO", "-m", "plasti.cli"), ("-m", "plasti")], ids=["optimized", "package"]
 )
 def test_the_cli_runs_as_a_module(flags):
     """``python -m plasti`` works from a checkout, and ``-OO`` (which strips
     docstrings) changes nothing."""
-    src = str(Path(plasti.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, *flags, "gallery", "list"], env=env,
+    run = subprocess.run([sys.executable, *flags, "gallery", "list"], env=_module_env(),
                          capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == _call(["gallery", "list"])
+
+
+@pytest.mark.parametrize("command", ["gallery", "plot"])
+def test_a_closed_stdout_ends_quietly(files, command):
+    """A reader that closes stdout early, as in ``plasti gallery list | head -1``,
+    gets exit 1 and an empty stderr, not a BrokenPipeError traceback."""
+    argv = ["gallery", "list"] if command == "gallery" else [
+        "plot", "--space", files("s.sp", "points: 0 1 3\n")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        run = subprocess.run([sys.executable, "-m", "plasti", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, env=_module_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (1, b"")
 
 
 # -------------------------------------------------------------------

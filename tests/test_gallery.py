@@ -13,7 +13,7 @@ import pytest
 from plasti.cli import main
 from plasti.errors import UnknownGalleryId
 from plasti.gallery import GALLERY_IDS, gallery_entry
-from plasti.maps import MapDescription, eval_map, resolve
+from plasti.maps import MapDescription, eval_map
 from plasti.parser import parse_map, parse_space
 
 
@@ -67,8 +67,7 @@ def test_every_entry_has_a_summary_and_window():
 
 def test_gallery_references_resolve_in_map_files():
     mp = parse_map("gallery: unit-interval-grid:flip\n")
-    resolved = resolve(mp)
-    assert resolved.clauses
+    assert mp == gallery_entry("unit-interval-grid").map_named("flip")
     space = parse_space("points: 0 1/6 1/3 1/2 2/3 5/6 1\n")
     from fractions import Fraction as F
 
@@ -77,16 +76,16 @@ def test_gallery_references_resolve_in_map_files():
 
 
 def test_bare_gallery_reference_needs_a_unique_map():
-    resolved = resolve(parse_map("gallery: example2\n"))
-    assert resolved.clauses
+    [(_, only)] = gallery_entry("example2").maps
+    assert parse_map("gallery: example2\n") == only
     with pytest.raises(UnknownGalleryId):
-        resolve(parse_map("gallery: unit-interval-grid\n"))
+        parse_map("gallery: unit-interval-grid\n")
     with pytest.raises(UnknownGalleryId):
-        resolve(parse_map("gallery: integers\n"))
+        parse_map("gallery: integers\n")
 
 
 def test_unknown_gallery_reference_raises():
     with pytest.raises(UnknownGalleryId):
-        resolve(parse_map("gallery: example1:no-such-map\n"))
+        parse_map("gallery: example1:no-such-map\n")
     with pytest.raises(UnknownGalleryId):
-        resolve(parse_map("gallery: missing-entry\n"))
+        parse_map("gallery: missing-entry\n")

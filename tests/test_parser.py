@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from plasti.classify import classify
+from plasti.cli import main
 from plasti.errors import ParseError
+from plasti.gallery import gallery_map
 from plasti.maps import IndexShift, Table, collect_samples, eval_map
 from plasti.parser import (
     parse_gap_rule,
@@ -116,6 +118,16 @@ def test_space_errors_carry_line_numbers():
         parse_space("# only a comment\n")
 
 
+def test_a_gapseq_line_needs_a_side(tmp_path, capsys):
+    # a gap sequence with no side is its anchor alone, which `points:` writes
+    path = tmp_path / "s.sp"
+    path.write_text("points: 0\ngapseq: anchor=5\n")
+    assert main(["classify", "--space", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "plasti classify: line 2, column 1: GapSequence needs at least one side\n"
+    )
+
+
 def test_meta_conflicts_are_rejected():
     with pytest.raises(ParseError):
         parse_space(
@@ -179,10 +191,13 @@ def test_parse_inverse_clauses():
 
 
 def test_parse_gallery_reference():
+    # the reference is resolved when the file is read: the map is the entry's own
     mp = parse_map("gallery: unit-interval-grid:flip\n")
-    assert mp.gallery_name == "unit-interval-grid:flip"
-    assert not mp.clauses
-    assert render_map(mp) == "gallery: unit-interval-grid:flip\n"
+    assert mp == gallery_map("unit-interval-grid:flip")
+    assert render_map(mp) == (
+        "piece: dom=(-inf,+inf) slope=-1 icpt=1\n"
+        "inverse: piece: dom=(-inf,+inf) slope=-1 icpt=1\n"
+    )
     with pytest.raises(ParseError):
         parse_map("gallery: integers\ntable: 0->1\n")
 

@@ -13,16 +13,19 @@ the successor search on the mirror image ``mirrored(space)``, whose
 exhausted walk is reworded as the predecessor search at x. Errors are
 compared by type and text. Lookups in a materialization bisect float keys
 first (``_locate``), which is compared with plain ``bisect_left`` on
-values whose floats tie or overflow.
+values whose floats tie or overflow. Progressions and finite point sets,
+now gap sequences, are compared with the code that answered for them as
+component kinds of their own.
 """
 
 import bisect
 from array import array
 from fractions import Fraction as F
 from math import inf
+from typing import Optional
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from plasti.errors import NotDiscrete, PlastiError, RuleDivergence
 from plasti.maps import IndexShift, MapDescription, _clause_applies, _eval_member
@@ -30,6 +33,8 @@ from plasti.scalar import format_scalar
 from plasti.space import (
     AffineGaps,
     AlternatingGaps,
+    BoundInfo,
+    Bounds,
     DEFAULT_CAP,
     DEFAULT_WINDOW,
     ArithmeticProgression,
@@ -42,6 +47,7 @@ from plasti.space import (
     IntervalList,
     PeriodicIntervals,
     ReciprocalGaps,
+    SequenceView,
     SubspaceDescription,
     TelescopingGaps,
     Window,
@@ -49,10 +55,12 @@ from plasti.space import (
     _locate,
     _materialize_points,
     _max_n_with_sum_below,
+    component_bounds,
     component_contains,
     contains,
     materialize,
     predecessor,
+    sequence_view,
     successor,
 )
 
@@ -155,9 +163,6 @@ def reference_next_above(comp, x, cap):
     infimum of members > x when that infimum is not attained (else None)."""
     if isinstance(comp, (PeriodicIntervals, IntervalList, HalfLine)):
         raise NotDiscrete("adjacency is only defined on discrete spaces")
-    if isinstance(comp, FinitePoints):
-        i = bisect.bisect_right(comp.points, x)
-        return (comp.points[i] if i < len(comp.points) else None), None
     cands = []
     if comp.anchor > x:
         cands.append(comp.anchor)
@@ -230,14 +235,10 @@ def reference_successor(space, x, cap):
 
 
 def mirrored(space):
-    """The mirror image x -> -x of a space of discrete components."""
-
-    def mirror(comp):
-        if isinstance(comp, FinitePoints):
-            return FinitePoints(tuple(-p for p in reversed(comp.points)))
-        return GapSequence(-comp.anchor, left=comp.right, right=comp.left)
-
-    return SubspaceDescription(tuple(mirror(c) for c in space.components))
+    """The mirror image x -> -x of a space of gap sequences."""
+    return SubspaceDescription(
+        tuple(GapSequence(-c.anchor, left=c.right, right=c.left) for c in space.components)
+    )
 
 
 def reference_predecessor(space, x, cap):
@@ -753,3 +754,82 @@ def test_progressions_match_their_arithmetic(anchor, step, direction, window, ca
         assert component_contains(comp, x, cap) == progression_contains(anchor, step, direction, x)
         assert successor(space, x, cap) == progression_next(anchor, step, direction, x, 1)
         assert predecessor(space, x, cap) == progression_next(anchor, step, direction, x, -1)
+
+
+# -------------------------------------------------------------------
+# Finite point sets against their bisect branches
+# -------------------------------------------------------------------
+#
+# A finite point set is a gap sequence anchored at its least point with an
+# explicit right side, or the bare anchor. The bisect branches that once
+# answered for it as a component kind of its own stay here as the
+# reference: the window filter for materialization, bisect_left for
+# membership, bisect_right and bisect_left for the next member up and
+# down, the first and last points for the bounds, and the concatenation of
+# sets whose hulls do not meet for the sequence view.
+
+
+def finite_points_in(points, window) -> tuple:
+    return tuple(p for p in points if window.lo <= p <= window.hi)
+
+
+def finite_contains(points, x) -> bool:
+    i = bisect.bisect_left(points, x)
+    return i < len(points) and points[i] == x
+
+
+def finite_next(points, x, toward):
+    """The nearest point beyond x, upward (toward 1) or downward (-1)."""
+    if toward > 0:
+        i = bisect.bisect_right(points, x)
+        return points[i] if i < len(points) else None
+    i = bisect.bisect_left(points, x)
+    return points[i - 1] if i else None
+
+
+def finite_bounds(points) -> Bounds:
+    return Bounds(BoundInfo(True, points[0], True), BoundInfo(True, points[-1], True))
+
+
+def finite_view(sets) -> Optional[SequenceView]:
+    ordered = sorted(sets, key=lambda points: points[0])
+    if any(b[0] <= a[-1] for a, b in zip(ordered, ordered[1:])):
+        return None  # interleaved hulls
+    return SequenceView(tuple(p for points in ordered for p in points), None, None)
+
+
+@st.composite
+def finite_sets(draw):
+    """One or two disjoint sets of values whose floats may tie or overflow,
+    a window whose edges may fall on members or between them, and a cap."""
+    values = sorted(set(draw(st.lists(tie_values, min_size=1, max_size=12))))
+    first = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    sets = [[v for v, f in zip(values, first) if f == side] for side in (True, False)]
+    edge = st.sampled_from(values) | tie_values
+    lo, hi = sorted((draw(edge), draw(edge)))
+    assume(lo < hi)
+    return [s for s in sets if s], Window(F(lo), F(hi)), draw(st.integers(1, 4))
+
+
+@given(finite_sets())
+@example(([[F(1, 4)]], Window(F(0), F(1)), 1))  # a single point
+@example(([QUARTER_TIES], Window(QUARTER_TIES[0], QUARTER_TIES[1]), 1))  # the window cuts a tie
+@example(([QUARTER_TIES[::2], QUARTER_TIES[1:2]], Window(F(0), F(1)), 2))  # interleaved sets
+@example(([[-(10**400), 0], [10**400]], Window(F(-1), F(10**400)), 1))
+def test_finite_sets_match_their_bisect_branches(case):
+    sets, window, cap = case
+    components = tuple(FinitePoints(tuple(points)) for points in sets)
+    space = SubspaceDescription(components)
+    for comp, points in zip(components, sets):
+        assert _materialize_points(comp, window, cap) == (finite_points_in(points, window), (), ())
+        assert component_bounds(comp) == finite_bounds(points)
+    assert sequence_view(space) == finite_view(sets)
+    members = sorted(p for points in sets for p in points)
+    xs = members + [F(a + b) / 2 for a, b in zip(members, members[1:])]
+    xs += [window.lo, window.hi, members[0] - 1, members[-1] + 1]
+    for x in xs:
+        assert contains(space, x, cap) == any(finite_contains(points, x) for points in sets)
+        ups = [y for y in (finite_next(points, x, 1) for points in sets) if y is not None]
+        downs = [y for y in (finite_next(points, x, -1) for points in sets) if y is not None]
+        assert successor(space, x, cap) == min(ups, default=None)
+        assert predecessor(space, x, cap) == max(downs, default=None)
