@@ -21,6 +21,7 @@ from plasti.errors import (
     OutsideDomain,
 )
 from plasti import maps
+from plasti.scalar import NEG_INF, POS_INF
 from plasti.maps import (
     AffinePiece,
     IndexShift,
@@ -843,3 +844,93 @@ def test_checks_agree_with_brute_force_on_dense_members(case):
         (x, y), (u, v) = report.witness.points, report.witness.images
         assert (u, v) == (eval_map(desc, space, x), eval_map(desc, space, y))
         assert abs(u - v) > abs(x - y)
+
+
+# -------------------------------------------------------------------
+# The first broken pair, against the pair loop
+# -------------------------------------------------------------------
+
+
+def _reference_pair_witness(ws, bad_slope, slope_detail, sweep, broken, pair_detail):
+    """A span slope that breaks the property, else the first ``broken``
+    pair of ``combinations(ws.all_samples, 2)``, nudged onto members."""
+    from itertools import combinations
+
+    witness = maps._slope_witness(ws, bad_slope, slope_detail)
+    if witness is not None or sweep(ws.all_samples):
+        return witness
+    pair = next((p for p in combinations(ws.all_samples, 2) if broken(*p)), None)
+    return None if pair is None else maps._member_witness(pair, pair_detail, broken)
+
+
+_PAIR_CHECKS = (
+    (maps._sweep_nonexpansive, maps._moves_apart, "pair moves apart"),
+    (maps._sweep_isometry, maps._changes_distance, "pair changes distance"),
+)
+
+
+@st.composite
+def _window_samples(draw):
+    """Point samples at distinct ascending x, their values on one line
+    x -> s*x + c or on the two unit lines through the first sample, with a
+    few changed near the end; and limit samples at span ends, some at the
+    x of a point sample, with the span's piece value."""
+    fn = draw(_value_fn())
+    xs = sorted(set(draw(st.lists(_sample_x, max_size=12))))
+    values = [fn(x, 1) for x in xs]
+    if xs and draw(st.booleans()):
+        # every sample keeps its distance to the first one, on either side:
+        # the first pair that changes a distance starts at a later sample
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(xs), max_size=len(xs)))
+        values = [values[0] + s * (x - xs[0]) for s, x in zip(signs, xs)]
+    for i in draw(st.lists(st.integers(0, 3), max_size=2)):  # counted from the end
+        if i < len(values):
+            values[-1 - i] = draw(st.fractions(min_value=-4, max_value=4, max_denominator=2))
+    limits = []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        lo = draw(st.sampled_from(xs) | _sample_x) if xs else draw(_sample_x)
+        hi = lo + draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2))
+        piece = affine(Interval.open(lo, hi), draw(st.sampled_from([1, -1, 2, F(1, 2)])), draw(st.integers(-2, 2)))
+        span = maps.PieceSpan(piece, lo, hi)
+        x = lo if draw(st.booleans()) else hi
+        limits.append(Sample(x, piece.apply(x), False, span))
+    points_ = tuple(Sample(x, v, True) for x, v in zip(xs, values))
+    return maps.WindowSamples(None, points_, tuple(limits), ())
+
+
+@given(_window_samples())
+def test_pair_witness_is_the_first_broken_pair_of_the_pair_loop(ws):
+    for sweep, broken, detail in _PAIR_CHECKS:
+        args = (ws, lambda slope: False, "", sweep, broken, detail)
+        assert maps._pair_witness(*args) == _reference_pair_witness(*args)
+
+
+def _relocate_last(n: int):
+    """0, 1, ..., n - 1 with the last member sent to 0 and the rest fixed:
+    the first pair that moves apart is (n // 2, n - 1)."""
+    space = SubspaceDescription(components=(ArithmeticProgression(F(0), F(1), "right"),))
+    last = F(n - 1)
+    desc = MapDescription(
+        clauses=(
+            Table(((last, F(0)),)),
+            affine(Interval(Endpoint(NEG_INF, False), Endpoint(last, False)), 1, 0),
+            affine(Interval(Endpoint(last, False), Endpoint(POS_INF, False)), 1, 0),
+        )
+    )
+    return space, desc, Window(F(0), last)
+
+
+def test_a_late_witness_costs_a_linear_number_of_pair_tests(monkeypatch):
+    n = 130
+    space, desc, window = _relocate_last(n)
+    calls = []
+    moves_apart = maps._moves_apart
+
+    def counted(a, b):
+        calls.append(None)
+        return moves_apart(a, b)
+
+    monkeypatch.setattr(maps, "_moves_apart", counted)
+    report = check_nonexpansive(desc, space, window)
+    assert report.witness.render() == f"pair moves apart ({n // 2}, {n - 1} -> {n // 2}, 0)"
+    assert len(calls) < 4 * n

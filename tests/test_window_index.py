@@ -27,9 +27,24 @@ from typing import Optional
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from plasti.errors import NotDiscrete, PlastiError, RuleDivergence
-from plasti.maps import IndexShift, MapDescription, _clause_applies, _eval_member
-from plasti.scalar import format_scalar
+from plasti.errors import (
+    AmbiguousPiece,
+    MapError,
+    NoAdjacentPoint,
+    NoPieceApplies,
+    NotDiscrete,
+    PlastiError,
+    RuleDivergence,
+)
+from plasti.maps import (
+    AffinePiece,
+    IndexShift,
+    MapDescription,
+    Table,
+    _clause_applies,
+    _eval_member,
+)
+from plasti.scalar import NEG_INF, POS_INF, format_scalar
 from plasti.space import (
     AffineGaps,
     AlternatingGaps,
@@ -38,6 +53,7 @@ from plasti.space import (
     DEFAULT_CAP,
     DEFAULT_WINDOW,
     ArithmeticProgression,
+    Endpoint,
     ConstantGaps,
     ExplicitGaps,
     FinitePoints,
@@ -596,6 +612,163 @@ def test_shifts_on_interval_scopes_still_raise_not_discrete():
     desc = MapDescription(clauses=(IndexShift("*", 1),))
     with pytest.raises(NotDiscrete):
         _eval_member(desc, space, F(0), 100, mat)
+
+
+# -------------------------------------------------------------------
+# Map evaluation against the per-member clause ladder
+# -------------------------------------------------------------------
+
+
+def reference_eval(desc, space, x, cap, mat):
+    """The per-member ladder: every clause is tested at the member x in
+    clause order, then the one claiming clause is applied. The window
+    materialization, when given, answers membership and index shifts
+    where it decides them."""
+
+    def scope(clause):
+        if clause.component == "*":
+            return None
+        if not 0 <= clause.component < len(space.components):
+            raise MapError(
+                f"index shift names component {clause.component}, space has {len(space.components)}"
+            )
+        return clause.component
+
+    def member(component):
+        known = None if mat is None else mat.member(x, component)
+        if known is not None:
+            return known
+        if component is None:
+            return contains(space, x, cap)
+        return component_contains(space.components[component], x, cap)
+
+    def applies(clause):
+        if isinstance(clause, Table):
+            return any(k == x for k, _ in clause.entries)
+        if isinstance(clause, AffinePiece):
+            return clause.domain.contains(x)
+        if clause.restriction is not None and not clause.restriction.contains(x):
+            return False
+        return member(scope(clause))
+
+    applying = [c for c in desc.clauses if applies(c)]
+    if not applying:
+        raise NoPieceApplies(f"no clause claims {format_scalar(x)}")
+    if len(applying) > 1:
+        raise AmbiguousPiece(f"{len(applying)} clauses claim {format_scalar(x)}")
+    (clause,) = applying
+    if isinstance(clause, Table):
+        return clause.lookup(x)
+    if isinstance(clause, AffinePiece):
+        return clause.apply(x)
+    component = scope(clause)
+    if mat is not None:
+        target = mat.shift(component, x, clause.steps)
+        if target is not None:
+            return target
+    walked = space if component is None else SubspaceDescription((space.components[component],))
+    step = successor if clause.steps > 0 else predecessor
+    for _ in range(abs(clause.steps)):
+        nxt = step(walked, x, cap)
+        if nxt is None:
+            raise NoAdjacentPoint(f"no member adjacent to {format_scalar(x)} in the shift direction")
+        x = nxt
+    return x
+
+
+def members_near(space, mat, cap) -> list:
+    """Ascending members to evaluate at: the window's points and closed
+    fragment ends, and the nearest members beyond each window edge."""
+    xs = set(mat.points)
+    for f in mat.fragments:
+        xs.update(e.value for e in (f.interval.lo, f.interval.hi) if e.closed)
+    for step, edge in ((successor, mat.window.hi), (predecessor, mat.window.lo)):
+        try:
+            beyond = step(space, edge, cap)
+        except PlastiError:
+            continue
+        if beyond is not None:
+            xs.add(beyond)
+    return sorted(xs)
+
+
+@st.composite
+def eval_cases(draw):
+    """A discrete space, sometimes with an interval part, its window
+    members, and a map of one to three clauses whose ends, keys and
+    restrictions fall on members, between them or at infinity: covers
+    that hold, and covers with zero or two claims."""
+    space, window, cap = draw(discrete_spaces())
+    if draw(st.booleans()):
+        lo = window.hi - draw(st.fractions(min_value=0, max_value=2, max_denominator=3))
+        piece = Interval(Endpoint(lo, draw(st.booleans())), Endpoint(lo + 1, draw(st.booleans())))
+        space = SubspaceDescription(space.components + (IntervalList((piece,)),))
+    mat = materialized(space, window, cap)
+    assume(mat is not None)
+    xs = members_near(space, mat, cap)
+    assume(xs)
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    cut = st.sampled_from(xs + mids)
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+    def end(infinity):
+        if draw(st.integers(0, 4)) == 0:
+            return Endpoint(infinity, False)
+        return Endpoint(draw(cut), draw(st.booleans()))
+
+    def interval():
+        lo, hi = end(NEG_INF), end(POS_INF)
+        if hi.value < lo.value:
+            lo, hi = Endpoint(hi.value, lo.closed), Endpoint(lo.value, hi.closed)
+        if lo.value == hi.value:
+            lo, hi = Endpoint(lo.value, True), Endpoint(hi.value, True)
+        return Interval(lo, hi)
+
+    clauses = []
+    for kind in draw(st.lists(st.sampled_from(["table", "affine", "shift"]), min_size=1, max_size=3)):
+        if kind == "table":
+            keys = draw(st.lists(cut, min_size=1, max_size=3, unique=True))
+            clauses.append(Table(tuple((k, draw(small)) for k in keys)))
+        elif kind == "affine":
+            clauses.append(AffinePiece(interval(), draw(small), draw(small)))
+        else:
+            component = draw(st.sampled_from(["*", *range(len(space.components) + 1)]))
+            restriction = interval() if draw(st.booleans()) else None
+            clauses.append(IndexShift(component, draw(st.integers(-3, 3)), restriction))
+    return space, mat, cap, xs, MapDescription(clauses=tuple(clauses))
+
+
+SHIFTS_AND_A_TABLE = MapDescription(
+    clauses=(
+        IndexShift(1, 2, Interval.open(F(0), F(1))),  # the tail, across its zone
+        IndexShift(0, -1, Interval.left_closed(F(1), POS_INF)),
+        Table(((F(0), F(7)),)),
+    )
+)
+
+
+def eval_case(space, window, cap, desc):
+    mat = materialize(space, window, cap)
+    return space, mat, cap, members_near(space, mat, cap), desc
+
+
+@given(eval_cases())
+@example(eval_case(WITH_TAIL, Window(F(0), F(10)), 12, SHIFTS_AND_A_TABLE))
+@example(
+    eval_case(
+        TWO_SIDED,
+        Window(F(-1), F(2)),
+        6,
+        MapDescription(
+            clauses=(IndexShift("*", 3), AffinePiece(Interval.closed(F(1), F(2)), F(1), F(0)))
+        ),
+    )
+)
+def test_evaluation_matches_the_clause_ladder(case):
+    space, mat, cap, xs, desc = case
+    for m in (mat, None):
+        expected = [outcome(reference_eval, desc, space, x, cap, m) for x in xs]
+        assert [outcome(_eval_member, desc, space, x, cap, m) for x in xs] == expected
 
 
 
