@@ -18,6 +18,7 @@ order; ``_report`` is the one place that turns it into a ``CheckReport``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +33,7 @@ from .errors import (
     NoAdjacentPoint,
     NoPieceApplies,
     OutsideDomain,
+    PlastiError,
 )
 from .scalar import NEG_INF, POS_INF, Infinity, Scalar, format_scalar
 from .space import (
@@ -42,6 +44,8 @@ from .space import (
     Materialization,
     SubspaceDescription,
     Window,
+    _float_key,
+    _locate,
     component_contains,
     contains,
     in_sorted,
@@ -157,59 +161,16 @@ def _shift_scope(clause: IndexShift, space: SubspaceDescription) -> Optional[int
     return clause.component
 
 
-def _clause_applies(
-    clause: Clause, space: SubspaceDescription, x: Scalar, cap: int, mat: Optional[Materialization]
-) -> bool:
-    if isinstance(clause, Table):
-        return any(k == x for k, _ in clause.entries)
-    if isinstance(clause, AffinePiece):
-        return clause.domain.contains(x)
-    if isinstance(clause, IndexShift):
-        if clause.restriction is not None and not clause.restriction.contains(x):
-            return False
-        return _member(space, x, cap, mat, _shift_scope(clause, space))
-    raise MapError(f"unknown clause {clause!r}")
-
-
-def _apply_clause(
-    clause: Clause, space: SubspaceDescription, x: Scalar, cap: int, mat: Optional[Materialization]
-) -> Scalar:
-    if isinstance(clause, Table):
-        return clause.lookup(x)
-    if isinstance(clause, AffinePiece):
-        return clause.apply(x)
-    if isinstance(clause, IndexShift):
-        component = _shift_scope(clause, space)
-        if mat is not None:
-            target = mat.shift(component, x, clause.steps)
-            if target is not None:
-                return target
-        if component is None:
-            scope = space
-        else:
-            scope = SubspaceDescription((space.components[component],))
-        pos = x
-        step = successor if clause.steps > 0 else predecessor
-        for _ in range(abs(clause.steps)):
-            nxt = step(scope, pos, cap)
-            if nxt is None:
-                raise NoAdjacentPoint(
-                    f"no member adjacent to {format_scalar(pos)} in the shift direction"
-                )
-            pos = nxt
-        return pos
-    raise MapError(f"unknown clause {clause!r}")
-
-
-def _claiming_clause(
-    desc: MapDescription, space, x: Scalar, cap: int, mat: Optional[Materialization]
-) -> Clause:
-    applying = [c for c in desc.clauses if _clause_applies(c, space, x, cap, mat)]
-    if not applying:
-        raise NoPieceApplies(f"no clause claims {format_scalar(x)}")
-    if len(applying) > 1:
-        raise AmbiguousPiece(f"{len(applying)} clauses claim {format_scalar(x)}")
-    return applying[0]
+def _walk(scope: SubspaceDescription, x: Scalar, steps: int, cap: int) -> Scalar:
+    """The member ``steps`` places from x in the adjacency order of
+    ``scope``, one ``successor`` or ``predecessor`` query per step."""
+    step = successor if steps > 0 else predecessor
+    for _ in range(abs(steps)):
+        nxt = step(scope, x, cap)
+        if nxt is None:
+            raise NoAdjacentPoint(f"no member adjacent to {format_scalar(x)} in the shift direction")
+        x = nxt
+    return x
 
 
 def eval_map(
@@ -230,7 +191,174 @@ def _eval_member(
 ) -> Scalar:
     """eval_map at an x already known to be a member;
     a window materialization, when given, answers index facts it decides."""
-    return _apply_clause(_claiming_clause(desc, space, x, cap, mat), space, x, cap, mat)
+    (image,) = _eval_members(desc, space, (x,), cap, mat)
+    if isinstance(image, PlastiError):
+        raise image
+    return image
+
+
+def _affine_images(piece: AffinePiece, xs):
+    """The image of xs[i] under ``piece``, as a function of i. A unit slope
+    needs no product; the values are those of ``piece.apply``."""
+    slope, icpt = piece.slope, piece.intercept
+    if slope == 1:
+        return xs.__getitem__ if icpt == 0 else lambda i: xs[i] + icpt
+    if slope == -1:
+        return lambda i: icpt - xs[i]
+    return lambda i: slope * xs[i] + icpt
+
+
+def _eval_members(
+    desc: MapDescription,
+    space: SubspaceDescription,
+    xs,
+    cap: int,
+    mat: Optional[Materialization] = None,
+    upto_failure: bool = False,
+) -> list:
+    """The image of each of the strictly ascending members ``xs``, or the
+    plasti error that evaluating the map at that member alone raises.
+
+    Each clause finds the members it claims as index runs of ``xs``: table
+    keys and the ends of affine domains and shift restrictions are located
+    by float keys. Inside the window and outside its truncation zones the
+    materialization decides a shift's scope, by a lookup in the scope's
+    points; elsewhere ``contains`` does, member by member. A member that no
+    clause or two clauses claim gets the error for that, and an error raised
+    while testing a clause there is kept, the first in clause order. Affine
+    runs are evaluated in a list, and a shift steps along the scope's
+    points by index arithmetic; only a target that leaves them, or lies
+    past a truncation zone, is walked to by ``successor``/``predecessor``,
+    in ascending order. With ``upto_failure`` the walks stop at the first
+    member that fails, and later members that need one are left as None.
+    """
+    n = len(xs)
+    keys = array("d", map(_float_key, xs))
+
+    def index(value, past: bool) -> int:
+        """How many of xs lie below ``value``, or at or below it when ``past``."""
+        i = _locate(xs, keys, value)
+        return i + 1 if past and i < n and xs[i] == value else i
+
+    def run(ivl: Interval) -> range:
+        lo = 0 if isinstance(ivl.lo.value, Infinity) else index(ivl.lo.value, not ivl.lo.closed)
+        hi = n if isinstance(ivl.hi.value, Infinity) else index(ivl.hi.value, ivl.hi.closed)
+        return range(lo, max(lo, hi))
+
+    exact = bytearray(n)  # where the materialization decides membership
+    if mat is not None:
+        inside = run(Interval.closed(mat.window.lo, mat.window.hi))
+        exact[inside.start : inside.stop] = b"\1" * len(inside)
+        for zone in mat.truncation_zones:
+            cut = run(zone)
+            exact[cut.start : cut.stop] = bytes(len(cut))
+
+    owner = [-1] * n  # the first clause that claims each member
+    claims: dict = {}  # member -> number of clauses that claim it, where more than one
+    errors: dict = {}  # member -> the first error raised testing a clause there
+    clauses = []  # per clause: the members it claims, and the image of one, or None to walk
+
+    def claim(members, image) -> None:
+        c = len(clauses)
+        if isinstance(members, range) and owner[members.start : members.stop].count(-1) == len(members):
+            owner[members.start : members.stop] = [c] * len(members)
+        else:
+            for i in members:
+                if owner[i] < 0:
+                    owner[i] = c
+                else:
+                    claims[i] = claims.get(i, 1) + 1
+        clauses.append((members, image))
+
+    walks = {}  # shift clause -> (its scope as a space, steps)
+    for clause in desc.clauses:
+        if isinstance(clause, Table):
+            table = {}
+            for k, v in clause.entries:
+                i = index(k, False)
+                if i < n and xs[i] == k:
+                    table[i] = v
+            claim(sorted(table), table.__getitem__)
+        elif isinstance(clause, AffinePiece):
+            claim(run(clause.domain), _affine_images(clause, xs))
+        elif isinstance(clause, IndexShift):
+            members = range(n) if clause.restriction is None else run(clause.restriction)
+            try:
+                scope = _shift_scope(clause, space)
+            except MapError as err:
+                for i in members:
+                    errors.setdefault(i, err)
+                clauses.append(((), None))
+                continue
+            points = None if mat is None else mat.scope_points(scope)
+            at = {}  # member -> its index in the scope's points
+            if points is not None:
+                found = mat.indices(scope, xs[members.start : members.stop], keys[members.start : members.stop])
+                at = {i: a for i, a in zip(members, found) if a is not None}
+            mine = []
+            for i in members:
+                if exact[i] and (scope is None or points is not None):
+                    if scope is None or i in at:  # a member, or a point of the component
+                        mine.append(i)
+                    continue
+                try:
+                    if contains(space, xs[i], cap) if scope is None else component_contains(
+                        space.components[scope], xs[i], cap
+                    ):
+                        mine.append(i)
+                except PlastiError as err:
+                    errors.setdefault(i, err)
+            steps = clause.steps
+            walks[len(clauses)] = (
+                space if scope is None else SubspaceDescription((space.components[scope],)),
+                steps,
+            )
+            if points is None:
+                claim(mine, lambda i: None)
+                continue
+            blocked = mat.blocked(scope, steps)
+
+            def shifted(i, at=at, points=points, steps=steps, blocked=blocked):
+                a = at.get(i)
+                if a is None or not 0 <= a + steps < len(points):
+                    return None
+                if any(lo <= a < hi for lo, hi in blocked):
+                    return None
+                return points[a + steps]
+
+            claim(mine, shifted)
+        else:
+            for i in range(n):
+                errors.setdefault(i, MapError(f"unknown clause {clause!r}"))
+            clauses.append(((), None))
+
+    images: list = [None] * n
+    unclaimed = [i for i in range(n) if owner[i] < 0] if -1 in owner else []
+    for i in [*errors, *claims, *unclaimed]:
+        if i in errors:
+            images[i] = errors[i]
+        elif i in claims:
+            images[i] = AmbiguousPiece(f"{claims[i]} clauses claim {format_scalar(xs[i])}")
+        else:
+            images[i] = NoPieceApplies(f"no clause claims {format_scalar(xs[i])}")
+        owner[i] = -2  # answered
+    pending = []  # (member, shift clause) to walk
+    for c, (members, image) in enumerate(clauses):
+        for i in [i for i in members if owner[i] == c] if (errors or claims) else members:
+            y = images[i] = image(i)
+            if y is None:
+                pending.append((i, c))
+    first = min([*errors, *claims, *unclaimed], default=n)
+    for i, c in sorted(pending):
+        if upto_failure and i > first:
+            break
+        scope, steps = walks[c]
+        try:
+            images[i] = _walk(scope, xs[i], steps, cap)
+        except PlastiError as err:
+            images[i] = err
+            first = min(first, i)
+    return images
 
 
 def orbit(
@@ -420,9 +548,12 @@ def collect_samples(
     # materialized points, table keys that are members and fragment points
     # are all members, so they skip eval_map's membership test
     extra_xs = sorted(x for x in extra_xs if not in_sorted(pts, x))
-    point_samples = tuple(
-        Sample(x, _eval_member(desc, space, x, cap, mat), True) for x in merge(pts, extra_xs)
-    )
+    xs = list(merge(pts, extra_xs))
+    images = _eval_members(desc, space, xs, cap, mat, upto_failure=True)
+    for image in images:
+        if isinstance(image, PlastiError):
+            raise image  # the first member, in x order, where evaluation fails
+    point_samples = tuple(Sample(x, y, True) for x, y in zip(xs, images))
     # A member cut point whose true image equals the piece limit makes the
     # duplicate limit sample redundant; keep limits only when they differ.
     if limit_samples:
@@ -619,16 +750,81 @@ def _slope_witness(ws: WindowSamples, bad_slope, detail: str) -> Optional[Witnes
 
 
 def _pair_witness(
-    ws: WindowSamples, bad_slope, slope_detail: str, sweep, broken, pair_detail: str
+    ws: WindowSamples, bad_slope, slope_detail: str, sweep, first_row, broken, pair_detail: str
 ) -> Optional[Witness]:
     """A span slope that breaks a pair property, else the first ``broken``
     sample pair in pair order, nudged onto members, when the ``sweep`` finds one."""
     witness = _slope_witness(ws, bad_slope, slope_detail)
     if witness is not None or sweep(ws.all_samples):
         return witness
-    # the sweep decides; the pair loop finds the first witness in pair order
-    pair = next((p for p in combinations(ws.all_samples, 2) if broken(*p)), None)
+    pair = _first_broken_pair(ws.point_samples, ws.limit_samples, first_row, broken)
     return None if pair is None else _member_witness(pair, pair_detail, broken)
+
+
+def _first_broken_pair(points: tuple, limits: tuple, first_row, broken) -> Optional[tuple]:
+    """The first ``broken`` pair of ``combinations(points + limits, 2)``.
+
+    Most witnesses start at the first sample, so its row is scanned first,
+    up to its first broken pair. Past it, ``first_row(points)`` names the
+    first point sample that a later point sample breaks the property with,
+    and only that row is scanned. A row before it can break only with a
+    limit sample, and pairs of limit samples come last; those are tested
+    directly.
+    """
+    samples = points + limits
+    pair = next(((samples[0], q) for q in samples[1:] if broken(samples[0], q)), None)
+    if pair is not None or not samples:
+        return pair
+    row = first_row(points)
+    for p in points[1:row]:
+        for q in limits:
+            if broken(p, q):
+                return p, q
+    if row < len(points):
+        p = points[row]
+        return next((p, q) for q in points[row + 1 :] if broken(p, q))
+    return next((pair for pair in combinations(limits, 2) if broken(*pair)), None)
+
+
+def _first_row_moving_apart(points: tuple) -> int:
+    """The first i such that some later point sample moves apart from the
+    i-th, else len(points).
+
+    Point samples have distinct ascending x. For x_i < x_j,
+    |v_j - v_i| > x_j - x_i exactly when v - x rises from i to j or v + x
+    falls, so suffix maxima of v - x and minima of v + x decide each row.
+    """
+    first, top, bottom = len(points), None, None
+    for i in range(len(points) - 1, -1, -1):
+        s = points[i]
+        rise, fall = s.value - s.x, s.value + s.x
+        if top is None:
+            top, bottom = rise, fall
+            continue
+        if top > rise or bottom < fall:
+            first = i
+        top, bottom = max(top, rise), min(bottom, fall)
+    return first
+
+
+def _first_row_changing_distance(points: tuple) -> int:
+    """The first i such that some later point sample changes its distance
+    to the i-th, else len(points).
+
+    For x_i < x_j, |v_j - v_i| = x_j - x_i exactly when v - x or v + x is
+    the same at j as at i, and never both, as x_j != x_i. So row i keeps
+    every distance exactly when the later samples that share its v - x and
+    those that share its v + x are all of them: suffix counts decide.
+    """
+    first, rises, falls = len(points), {}, {}
+    for i in range(len(points) - 1, -1, -1):
+        s = points[i]
+        rise, fall = s.value - s.x, s.value + s.x
+        if rises.get(rise, 0) + falls.get(fall, 0) < len(points) - 1 - i:
+            first = i
+        rises[rise] = rises.get(rise, 0) + 1
+        falls[fall] = falls.get(fall, 0) + 1
+    return first
 
 
 def check_nonexpansive(
@@ -649,6 +845,7 @@ def check_nonexpansive(
         lambda slope: abs(slope) > 1,
         "piece slope {slope} exceeds 1 in size",
         _sweep_nonexpansive,
+        _first_row_moving_apart,
         _moves_apart,
         "pair moves apart",
     )
@@ -811,14 +1008,40 @@ def _round_trip(
     leaves: str,
     undo: str,
 ) -> Optional[Witness]:
-    """The first point sample whose image ``leaves`` the space or is not undone by ``back``."""
+    """The first point sample whose image ``leaves`` the space or is not undone by ``back``.
+
+    Images are tested for membership in sample order up to the first that
+    fails; ``back`` is then evaluated once over the distinct images before
+    it, ascending, and each sample is tested in order."""
     mat = ws.materialization
-    for s in ws.point_samples:
-        if not _member(space, s.value, cap, mat):
-            return Witness((s.x,), (s.value,), leaves)
-        if _eval_member(back, space, s.value, cap, mat) != s.x:
+    samples = ws.point_samples
+    stop, failure = len(samples), None  # the first image outside the space
+    for i, s in enumerate(samples):
+        try:
+            inside = _member(space, s.value, cap, mat)
+        except PlastiError as err:
+            stop, failure = i, err
+            break
+        if not inside:
+            stop = i
+            break
+    values = [s.value for s in samples[:stop]]
+    keys = list(map(_float_key, values))
+    ys, rank = [], [0] * stop  # the distinct images ascending; each sample's place among them
+    for i in sorted(range(stop), key=lambda i: (keys[i], values[i])):
+        if not ys or keys[i] != keys[prev] or values[i] != ys[-1]:
+            ys.append(values[i])
+        rank[i], prev = len(ys) - 1, i
+    back_images = _eval_members(back, space, ys, cap, mat)
+    for s, r in zip(samples, rank):
+        image = back_images[r]
+        if isinstance(image, PlastiError):
+            raise image
+        if image != s.x:
             return Witness((s.x,), (s.value,), undo)
-    return None
+    if failure is not None:
+        raise failure
+    return None if stop == len(samples) else Witness((samples[stop].x,), (samples[stop].value,), leaves)
 
 
 def _image_overlap(a: PieceSpan, b: PieceSpan) -> Optional[Scalar]:
@@ -857,6 +1080,7 @@ def check_isometry(
         lambda slope: abs(slope) != 1,
         "piece slope {slope} is not a unit",
         _sweep_isometry,
+        _first_row_changing_distance,
         _changes_distance,
         "pair changes distance",
     )

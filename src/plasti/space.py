@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import operator
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -1046,9 +1046,10 @@ def _side_stops(
     bisecting its prefix sums, a closed-sum rule by inverting its partial
     sums, and any other rule by walking it gap by gap for at most ``cap``
     steps. Explicit and closed-sum sides answer without the cap and build
-    only the members asked for, so membership, adjacency and listing on
-    them cost the same at any offset. The bound must lie below the total of
-    a convergent side.
+    only the members asked for, so adjacency and listing on them cost the
+    same at any offset; membership (``_side_member``) reads such a side by
+    the same counts and compares a partial sum, building no member. The
+    bound must lie below the total of a convergent side.
     """
     if program.finite:
         sums = program.sums
@@ -1082,12 +1083,20 @@ def _side_stops(
 
 
 def _side_member(anchor: Scalar, program: Optional[GapProgram], sign: int, x: Scalar, cap: int) -> bool:
-    """Is x a non-anchor member of the given side?"""
+    """Is x a non-anchor member of the given side? The first partial sum
+    at or past x's offset from the anchor must equal it; an explicit or
+    closed-sum side compares that sum, a walked side its member."""
     if program is None:
         return False
     offset = sign * (x - anchor)
+    if program.finite:
+        sums = program.sums
+        count = bisect.bisect_left(sums, offset)
+        return count < len(sums) and sums[count] == offset
     if program.converges and offset >= program.total:
         return False  # at or beyond the limit
+    if program.closed_sums:
+        return program.partial(_max_n_with_sum_below(program, offset, True) + 1) == offset
     stops = _side_stops(anchor, program, sign, offset, True, cap)
     if stops.count is None:
         raise RuleDivergence(f"membership test for {format_scalar(x)} exceeded {cap} steps")
@@ -1169,12 +1178,14 @@ def _float_key(x: Scalar) -> float:
     return float_ratio(x.numerator, x.denominator)
 
 
-def _locate(points, keys, x) -> int:
+def _locate(points, keys, x, fx: Optional[float] = None) -> int:
     """bisect_left(points, x) for ascending ``points`` whose float keys are
-    ``keys``. The key is monotone, so an entry whose key is below x's is
-    below x and one whose key is above is above: only the run of entries
-    whose keys tie with x's is compared exactly."""
-    fx = _float_key(x)
+    ``keys``; ``fx`` is x's key, when known. The key is monotone, so an
+    entry whose key is below x's is below x and one whose key is above is
+    above: only the run of entries whose keys tie with x's is compared
+    exactly."""
+    if fx is None:
+        fx = _float_key(x)
     return bisect.bisect_left(points, x, bisect.bisect_left(keys, fx), bisect.bisect_right(keys, fx))
 
 
@@ -1192,10 +1203,13 @@ class Materialization:
     ``shift`` answer from it there and return None elsewhere.
 
     They find x in a sorted point tuple by a shadow ``array('d')`` of the
-    points' float keys (``_float_key``), built on the first lookup in that
-    tuple. The key is monotone, so bisecting the floats brackets x's place
-    exactly and only points whose floats equal x's are compared as
-    Fractions (``_locate``): lookups give the index plain bisection gives.
+    points' float keys (``_float_key``): ``materialize`` stores the keys of
+    ``points``, and those of a component's points are built on the first
+    lookup in them. The key is monotone, so bisecting the floats brackets
+    x's place exactly and only points whose floats equal x's are compared
+    as Fractions (``_locate``): lookups give the index plain bisection
+    gives. The window edges and the zone ends have keys too, and decide
+    where the materialization is exact the same way.
     """
 
     window: Window
@@ -1204,6 +1218,8 @@ class Materialization:
     component_points: tuple  # per component: sorted Scalars, or None
     truncated_near: tuple = ()  # accumulation values where the cap hit
     truncation_zones: tuple = ()  # open intervals the enumeration left uncovered
+    # float keys per point tuple: None for ``points``, else the component index
+    float_keys: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def truncated(self) -> bool:
@@ -1214,33 +1230,78 @@ class Materialization:
         return not self.points and not self.fragments
 
     @cached_property
-    def _float_keys(self) -> dict:
-        """Float keys per point tuple: None for ``points``, else the
-        component index; each filled on its first lookup."""
-        return {}
+    def _edge_keys(self) -> tuple:
+        """The float keys of the window edges, and each zone with the keys of its ends."""
+        zones = tuple((_float_key(z.lo.value), _float_key(z.hi.value), z) for z in self.truncation_zones)
+        return _float_key(self.window.lo), _float_key(self.window.hi), zones
 
-    def _exact_at(self, x: Scalar) -> bool:
-        return self.window.contains(x) and not any(z.contains(x) for z in self.truncation_zones)
+    def _exact_at(self, x: Scalar, fx: float) -> bool:
+        """Whether x, whose float key is fx, lies in the window and in no
+        zone. Fractions are compared only where fx ties with an edge key."""
+        lo, hi, zones = self._edge_keys
+        if fx < lo or fx > hi or fx == lo and x < self.window.lo or fx == hi and x > self.window.hi:
+            return False
+        return not any(
+            zlo <= fx <= zhi and (fx != zlo or x > z.lo.value) and (fx != zhi or x < z.hi.value)
+            for zlo, zhi, z in zones
+        )
 
-    def _find(self, component: Optional[int], x: Scalar) -> Optional[int]:
-        """The index of x in the sorted points of a discrete component, or
-        in ``points`` for None; None when x is not there."""
-        points = self.points if component is None else self.component_points[component]
-        keys = self._float_keys.get(component)
+    def keys(self, component: Optional[int]) -> array:
+        """The float keys of a discrete component's points, or of ``points`` for None."""
+        keys = self.float_keys.get(component)
         if keys is None:
-            keys = self._float_keys[component] = array("d", map(_float_key, points))
-        i = _locate(points, keys, x)
+            points = self.points if component is None else self.component_points[component]
+            keys = self.float_keys[component] = array("d", map(_float_key, points))
+        return keys
+
+    def scope_points(self, component: Optional[int]) -> Optional[tuple]:
+        """The sorted points an index shift steps along: a discrete
+        component's, or every point for None; None where the scope has an
+        interval kind, so adjacency is undefined."""
+        if component is None:
+            return None if None in self.component_points else self.points
+        return self.component_points[component]
+
+    def _find(self, component: Optional[int], x: Scalar, fx: float) -> Optional[int]:
+        """The index of x, whose float key is fx, in the sorted points of a
+        discrete component, or in ``points`` for None; None when x is not there."""
+        points = self.points if component is None else self.component_points[component]
+        i = _locate(points, self.keys(component), x, fx)
         return i if i < len(points) and points[i] == x else None
+
+    def indices(self, component: Optional[int], xs, keys) -> list:
+        """``_find`` for each of the ascending ``xs``, whose float keys are
+        ``keys``, in one forward pass over the points."""
+        points = self.points if component is None else self.component_points[component]
+        pkeys, out, j = self.keys(component), [], 0
+        for x, fx in zip(xs, keys):
+            j = bisect.bisect_left(pkeys, fx, j)
+            j = bisect.bisect_left(points, x, j, bisect.bisect_right(pkeys, fx, j))
+            out.append(j if j < len(points) and points[j] == x else None)
+        return out
+
+    def blocked(self, component: Optional[int], steps: int) -> list:
+        """The index ranges [lo, hi) of the scope's points from which a
+        shift by ``steps`` would meet a truncation zone on its way."""
+        points, keys = self.scope_points(component), self.keys(component)
+        out = []
+        for z in self.truncation_zones:
+            u = _locate(points, keys, z.lo.value)
+            u += u < len(points) and points[u] == z.lo.value  # points at or below the zone
+            v = _locate(points, keys, z.hi.value)  # points below the zone's end
+            out.append((u - steps, v) if steps >= 0 else (u, v - steps))
+        return out
 
     def member(self, x: Scalar, component: Optional[int] = None) -> Optional[bool]:
         """Whether x is a member of the space, or of one of its components;
         None when the materialization does not decide it."""
-        if not self._exact_at(x):
+        fx = _float_key(x)
+        if not self._exact_at(x, fx):
             return None
         if component is not None:
             points = self.component_points[component]
-            return None if points is None else self._find(component, x) is not None
-        if self._find(None, x) is not None:
+            return None if points is None else self._find(component, x, fx) is not None
+        if self._find(None, x, fx) is not None:
             return True
         i = bisect.bisect_right(self.fragments, x, key=lambda f: f.interval.lo.value)
         # fragments are disjoint, but one with an open end at x may follow
@@ -1253,20 +1314,15 @@ class Materialization:
         the materialization does not decide it: x is not a point, the target
         leaves the tuple, a truncation zone lies between, or the scope has
         interval kinds, where adjacency is undefined."""
-        if component is None:
-            points = None if None in self.component_points else self.points
-        else:
-            points = self.component_points[component]
+        points = self.scope_points(component)
         if points is None:
             return None
-        i = self._find(component, x)
+        i = self._find(component, x, _float_key(x))
         if i is None or not 0 <= i + steps < len(points):
             return None
-        y = points[i + steps]
-        lo, hi = min(x, y), max(x, y)
-        if any(z.lo.value < hi and lo < z.hi.value for z in self.truncation_zones):
+        if any(lo <= i < hi for lo, hi in self.blocked(component, steps)):
             return None
-        return y
+        return points[i + steps]
 
 
 def _materialize_points(comp: GapSequence, window: Window, cap: int) -> tuple:
@@ -1388,25 +1444,37 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
     truncated: list = []
     zones: list = []
     per_component: list = []
-    for comp in space.components:
+    sources = []  # the components that supply points
+    for c, comp in enumerate(space.components):
         if isinstance(comp, GapSequence):
             pts, trunc, zs = _materialize_points(comp, window, cap)
             per_component.append(pts)
             points.extend(pts)
             truncated.extend(trunc)
             zones.extend(zs)
+            sources.append(c)
         else:
             per_component.append(None)
             frags = _materialize_fragments(comp, window, cap)
             for frag in frags:
                 if frag.interval.degenerate:
                     points.append(frag.interval.lo.value)
+                    sources.append(None)
                 else:
                     fragments.append(frag)
-    points.sort()
-    for a, b in zip(points, points[1:]):
-        if a == b:
-            raise SpaceError(f"components overlap at point {format_scalar(a)}")
+    if len(sources) == 1 and sources[0] is not None:
+        # one gap sequence lists every point, already ascending
+        points = per_component[sources[0]]
+        keys = array("d", map(_float_key, points))
+        float_keys = {None: keys, sources[0]: keys}
+    else:
+        # by float key first: Fractions are compared only where keys tie
+        pairs = sorted(zip(map(_float_key, points), points))
+        for (ka, a), (kb, b) in zip(pairs, pairs[1:]):
+            if ka == kb and a == b:
+                raise SpaceError(f"components overlap at point {format_scalar(a)}")
+        points = [p for _, p in pairs]
+        float_keys = {None: array("d", (k for k, _ in pairs))}
     fragments.sort(key=lambda f: (f.interval.lo.value, f.interval.hi.value))
     for a, b in zip(fragments, fragments[1:]):
         if a.interval.overlaps(b.interval):
@@ -1427,6 +1495,7 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
         component_points=tuple(per_component),
         truncated_near=tuple(sorted(set(truncated))),
         truncation_zones=tuple(sorted(zones, key=lambda z: z.lo.value)),
+        float_keys=float_keys,
     )
     if result.empty:
         raise EmptyWindow(f"no part of the space lies in {window}")

@@ -41,8 +41,8 @@ from plasti.maps import (
     IndexShift,
     MapDescription,
     Table,
-    _clause_applies,
     _eval_member,
+    _eval_members,
 )
 from plasti.scalar import NEG_INF, POS_INF, format_scalar
 from plasti.space import (
@@ -577,12 +577,9 @@ def test_indexed_shifts_match_successor_and_predecessor(case):
     for clause in clauses:
         desc = MapDescription(clauses=(clause,))
         for x in mat.points:
-            applies = outcome(_clause_applies, clause, space, x, cap, mat)
-            assert applies == outcome(_clause_applies, clause, space, x, cap, None)
-            if applies == ("value", True):
-                assert outcome(_eval_member, desc, space, x, cap, mat) == outcome(
-                    _eval_member, desc, space, x, cap
-                )
+            assert outcome(_eval_member, desc, space, x, cap, mat) == outcome(
+                _eval_member, desc, space, x, cap
+            )
 
 
 def test_a_shift_across_a_truncation_zone_falls_back():
@@ -769,6 +766,19 @@ def test_evaluation_matches_the_clause_ladder(case):
     for m in (mat, None):
         expected = [outcome(reference_eval, desc, space, x, cap, m) for x in xs]
         assert [outcome(_eval_member, desc, space, x, cap, m) for x in xs] == expected
+        images = _eval_members(desc, space, xs, cap, m)
+        assert [as_outcome(y) for y in images] == expected
+        # up to the first failure, which is what sample collection raises
+        upto = next((i + 1 for i, y in enumerate(expected) if y[0] != "value"), len(xs))
+        images = _eval_members(desc, space, xs, cap, m, upto_failure=True)
+        assert [as_outcome(y) for y in images[:upto]] == expected[:upto]
+
+
+def as_outcome(image):
+    """An image, or a plasti error, in the form ``outcome`` gives."""
+    if isinstance(image, PlastiError):
+        return (type(image).__name__, str(image))
+    return ("value", image)
 
 
 
