@@ -12,8 +12,22 @@ within a piece the slope bound decides. Across samples, |x-z| = |x-y| +
 |y-z| for x < y < z lets one sweep over neighbours in sorted order decide
 every pair and every triple.
 
+A window is evaluated by runs (``_eval_members``). Each clause claims the
+sorted members it covers as index runs, found by bisecting float keys, so
+a member with zero or two claims shows at once. Affine runs are mapped in
+a list, and an index shift steps along the materialized points by index
+arithmetic; only a target beyond them is walked to member by member.
+``eval_map`` is the same code on one member, so the two cannot disagree.
+
 Each check names only its first witness, or None, testing in a fixed
 order; ``_report`` is the one place that turns it into a ``CheckReport``.
+The first pair that moves apart, or changes its distance, is found in
+linear time, and it is the pair a loop over all pairs finds first. For
+point samples x_i < x_j, |v_j - v_i| > x_j - x_i holds exactly when
+v - x rises or v + x falls from i to j, and |v_j - v_i| = x_j - x_i
+exactly when one of the two stays equal. Suffix extrema, or suffix
+counts, of v - x and v + x therefore tell which row of the pair order
+holds the first broken pair, and only that row is scanned.
 """
 
 from __future__ import annotations
@@ -46,7 +60,6 @@ from .space import (
     Window,
     _float_key,
     _locate,
-    component_contains,
     contains,
     in_sorted,
     intervals_near,
@@ -133,21 +146,11 @@ def full_line() -> Interval:
 # ===================================================================
 
 
-def _member(
-    space: SubspaceDescription,
-    x: Scalar,
-    cap: int,
-    mat: Optional[Materialization],
-    component: Optional[int] = None,
-) -> bool:
-    """Membership of x in the space, or in one component: the window
-    materialization answers where it is exact, ``contains`` elsewhere."""
-    known = None if mat is None else mat.member(x, component)
-    if known is not None:
-        return known
-    if component is None:
-        return contains(space, x, cap)
-    return component_contains(space.components[component], x, cap)
+def _member(space: SubspaceDescription, x: Scalar, cap: int, mat: Optional[Materialization]) -> bool:
+    """Membership of x in the space: the window materialization answers
+    where it is exact, ``contains`` elsewhere."""
+    known = None if mat is None else mat.member(x)
+    return contains(space, x, cap) if known is None else known
 
 
 def _shift_scope(clause: IndexShift, space: SubspaceDescription) -> Optional[int]:
@@ -208,6 +211,21 @@ def _affine_images(piece: AffinePiece, xs):
     return lambda i: slope * xs[i] + icpt
 
 
+def _shift_images(points: Optional[tuple], at: dict, steps: int, blocked: list):
+    """The member ``steps`` places along ``points`` from member i, found at
+    index ``at[i]`` there, as a function of i; None where that is not
+    decided: i is not a point, the target leaves ``points``, or a shift
+    from there is ``blocked``, as ``Materialization.blocked`` gives."""
+
+    def image(i):
+        a = at.get(i)
+        if a is None or not 0 <= a + steps < len(points) or any(lo <= a < hi for lo, hi in blocked):
+            return None
+        return points[a + steps]
+
+    return image
+
+
 def _eval_members(
     desc: MapDescription,
     space: SubspaceDescription,
@@ -256,9 +274,11 @@ def _eval_members(
     owner = [-1] * n  # the first clause that claims each member
     claims: dict = {}  # member -> number of clauses that claim it, where more than one
     errors: dict = {}  # member -> the first error raised testing a clause there
-    clauses = []  # per clause: the members it claims, and the image of one, or None to walk
+    # per clause: the members it claims, the image of one (None: walk to
+    # it), and the scope and steps of a walk
+    clauses: list = []
 
-    def claim(members, image) -> None:
+    def claim(members, image, walk=None) -> None:
         c = len(clauses)
         if isinstance(members, range) and owner[members.start : members.stop].count(-1) == len(members):
             owner[members.start : members.stop] = [c] * len(members)
@@ -268,9 +288,8 @@ def _eval_members(
                     owner[i] = c
                 else:
                     claims[i] = claims.get(i, 1) + 1
-        clauses.append((members, image))
+        clauses.append((members, image, walk))
 
-    walks = {}  # shift clause -> (its scope as a space, steps)
     for clause in desc.clauses:
         if isinstance(clause, Table):
             table = {}
@@ -288,13 +307,14 @@ def _eval_members(
             except MapError as err:
                 for i in members:
                     errors.setdefault(i, err)
-                clauses.append(((), None))
                 continue
+            walked = space if scope is None else SubspaceDescription((space.components[scope],))
             points = None if mat is None else mat.scope_points(scope)
-            at = {}  # member -> its index in the scope's points
+            at, blocked = {}, []  # member -> its index in the scope's points
             if points is not None:
-                found = mat.indices(scope, xs[members.start : members.stop], keys[members.start : members.stop])
-                at = {i: a for i, a in zip(members, found) if a is not None}
+                span = slice(members.start, members.stop)
+                at = {i: a for i, a in zip(members, mat.indices(scope, xs[span], keys[span])) if a is not None}
+                blocked = mat.blocked(scope, clause.steps)
             mine = []
             for i in members:
                 if exact[i] and (scope is None or points is not None):
@@ -302,35 +322,13 @@ def _eval_members(
                         mine.append(i)
                     continue
                 try:
-                    if contains(space, xs[i], cap) if scope is None else component_contains(
-                        space.components[scope], xs[i], cap
-                    ):
+                    if contains(walked, xs[i], cap):
                         mine.append(i)
                 except PlastiError as err:
                     errors.setdefault(i, err)
-            steps = clause.steps
-            walks[len(clauses)] = (
-                space if scope is None else SubspaceDescription((space.components[scope],)),
-                steps,
-            )
-            if points is None:
-                claim(mine, lambda i: None)
-                continue
-            blocked = mat.blocked(scope, steps)
-
-            def shifted(i, at=at, points=points, steps=steps, blocked=blocked):
-                a = at.get(i)
-                if a is None or not 0 <= a + steps < len(points):
-                    return None
-                if any(lo <= a < hi for lo, hi in blocked):
-                    return None
-                return points[a + steps]
-
-            claim(mine, shifted)
+            claim(mine, _shift_images(points, at, clause.steps, blocked), (walked, clause.steps))
         else:
-            for i in range(n):
-                errors.setdefault(i, MapError(f"unknown clause {clause!r}"))
-            clauses.append(((), None))
+            raise MapError(f"unknown clause {clause!r}")
 
     images: list = [None] * n
     unclaimed = [i for i in range(n) if owner[i] < 0] if -1 in owner else []
@@ -342,17 +340,16 @@ def _eval_members(
         else:
             images[i] = NoPieceApplies(f"no clause claims {format_scalar(xs[i])}")
         owner[i] = -2  # answered
-    pending = []  # (member, shift clause) to walk
-    for c, (members, image) in enumerate(clauses):
-        for i in [i for i in members if owner[i] == c] if (errors or claims) else members:
-            y = images[i] = image(i)
-            if y is None:
-                pending.append((i, c))
+    walks = []  # (member, scope, steps)
+    for c, (members, image, walk) in enumerate(clauses):
+        for i in [i for i in members if owner[i] == c] if errors or claims else members:
+            if (y := image(i)) is None:
+                walks.append((i, *walk))
+            images[i] = y
     first = min([*errors, *claims, *unclaimed], default=n)
-    for i, c in sorted(pending):
+    for i, scope, steps in sorted(walks, key=lambda w: w[0]):
         if upto_failure and i > first:
             break
-        scope, steps = walks[c]
         try:
             images[i] = _walk(scope, xs[i], steps, cap)
         except PlastiError as err:

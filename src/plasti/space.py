@@ -578,6 +578,11 @@ class ExplicitGaps:
         """The partial sums S(1), ..., S(len), computed on first use."""
         return tuple(accumulate(self.values))
 
+    @cached_property
+    def sum_keys(self) -> array:
+        """The float keys of ``sums``, for ``_locate``."""
+        return array("d", map(_float_key, self.sums))
+
     @property
     def total(self) -> Scalar:
         return self.sums[-1]
@@ -1053,7 +1058,8 @@ def _side_stops(
     """
     if program.finite:
         sums = program.sums
-        count = (bisect.bisect_left if strict else bisect.bisect_right)(sums, bound)
+        count = _locate(sums, program.sum_keys, bound)
+        count += not strict and count < len(sums) and sums[count] == bound
         step = operator.add if sign > 0 else operator.sub
         return _Stops(count, lambda first, last: [step(anchor, s) for s in sums[first - 1 : last]])
     if program.closed_sums:
@@ -1083,20 +1089,22 @@ def _side_stops(
 
 
 def _side_member(anchor: Scalar, program: Optional[GapProgram], sign: int, x: Scalar, cap: int) -> bool:
-    """Is x a non-anchor member of the given side? The first partial sum
-    at or past x's offset from the anchor must equal it; an explicit or
-    closed-sum side compares that sum, a walked side its member."""
+    """Is x a non-anchor member of the given side? Some partial sum must
+    equal x's offset from the anchor: an explicit or closed-sum side
+    compares the last one at or below the offset, a walked side the member
+    after those below it."""
     if program is None:
         return False
-    offset = sign * (x - anchor)
+    offset = x - anchor if sign > 0 else anchor - x
     if program.finite:
         sums = program.sums
-        count = bisect.bisect_left(sums, offset)
+        count = _locate(sums, program.sum_keys, offset)
         return count < len(sums) and sums[count] == offset
     if program.converges and offset >= program.total:
         return False  # at or beyond the limit
     if program.closed_sums:
-        return program.partial(_max_n_with_sum_below(program, offset, True) + 1) == offset
+        count = _max_n_with_sum_below(program, offset, False)
+        return count > 0 and program.partial(count) == offset
     stops = _side_stops(anchor, program, sign, offset, True, cap)
     if stops.count is None:
         raise RuleDivergence(f"membership test for {format_scalar(x)} exceeded {cap} steps")
@@ -1276,8 +1284,10 @@ class Materialization:
         pkeys, out, j = self.keys(component), [], 0
         for x, fx in zip(xs, keys):
             j = bisect.bisect_left(pkeys, fx, j)
-            j = bisect.bisect_left(points, x, j, bisect.bisect_right(pkeys, fx, j))
-            out.append(j if j < len(points) and points[j] == x else None)
+            tied = bisect.bisect_right(pkeys, fx, j)  # points[j:tied] share x's key
+            if tied - j > 1:
+                j = bisect.bisect_left(points, x, j, tied)
+            out.append(j if j < tied and (points[j] is x or points[j] == x) else None)
         return out
 
     def blocked(self, component: Optional[int], steps: int) -> list:

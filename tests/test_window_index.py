@@ -761,6 +761,26 @@ def eval_case(space, window, cap, desc):
         ),
     )
 )
+# points whose float keys tie with 1/4's, in two components
+@example(
+    eval_case(
+        SubspaceDescription(
+            (
+                FinitePoints(tuple(F(1, 4) + F(1, 10**k) for k in (20, 19, 18))),
+                FinitePoints((F(1, 4), F(1, 4) + F(1, 10**21), F(1))),
+            )
+        ),
+        Window(F(0), F(2)),
+        10,
+        MapDescription(
+            clauses=(
+                IndexShift(0, 1, Interval.open(F(1, 4), F(1, 2))),
+                IndexShift("*", -2, Interval.closed(F(0), F(1, 4))),
+                IndexShift(1, -1, Interval.closed(F(1, 2), F(2))),
+            )
+        ),
+    )
+)
 def test_evaluation_matches_the_clause_ladder(case):
     space, mat, cap, xs, desc = case
     for m in (mat, None):
