@@ -1015,20 +1015,19 @@ def _round_trip(
     stop, failure = len(samples), None  # the first image outside the space
     for i, s in enumerate(samples):
         try:
-            inside = _member(space, s.value, cap, mat)
+            if _member(space, s.value, cap, mat):
+                continue
         except PlastiError as err:
-            stop, failure = i, err
-            break
-        if not inside:
-            stop = i
-            break
+            failure = err
+        stop = i
+        break
     values = [s.value for s in samples[:stop]]
     keys = list(map(_float_key, values))
     ys, rank = [], [0] * stop  # the distinct images ascending; each sample's place among them
     for i in sorted(range(stop), key=lambda i: (keys[i], values[i])):
-        if not ys or keys[i] != keys[prev] or values[i] != ys[-1]:
+        if not ys or values[i] != ys[-1]:
             ys.append(values[i])
-        rank[i], prev = len(ys) - 1, i
+        rank[i] = len(ys) - 1
     back_images = _eval_members(back, space, ys, cap, mat)
     for s, r in zip(samples, rank):
         image = back_images[r]

@@ -1186,14 +1186,12 @@ def _float_key(x: Scalar) -> float:
     return float_ratio(x.numerator, x.denominator)
 
 
-def _locate(points, keys, x, fx: Optional[float] = None) -> int:
+def _locate(points, keys, x) -> int:
     """bisect_left(points, x) for ascending ``points`` whose float keys are
-    ``keys``; ``fx`` is x's key, when known. The key is monotone, so an
-    entry whose key is below x's is below x and one whose key is above is
-    above: only the run of entries whose keys tie with x's is compared
-    exactly."""
-    if fx is None:
-        fx = _float_key(x)
+    ``keys``. The key is monotone, so an entry whose key is below x's is
+    below x and one whose key is above is above: only the run of entries
+    whose keys tie with x's is compared exactly."""
+    fx = _float_key(x)
     return bisect.bisect_left(points, x, bisect.bisect_left(keys, fx), bisect.bisect_right(keys, fx))
 
 
@@ -1208,16 +1206,17 @@ class Materialization:
     a point or lies in a fragment, and two neighbours in a component's
     points, or in ``points`` when no component is an interval kind, are
     adjacent members when no zone lies between them. ``member`` and
-    ``shift`` answer from it there and return None elsewhere.
+    ``shift`` answer from it there and return None elsewhere; ``indices``
+    and ``blocked`` give a run of members the same answers at once.
 
-    They find x in a sorted point tuple by a shadow ``array('d')`` of the
-    points' float keys (``_float_key``): ``materialize`` stores the keys of
-    ``points``, and those of a component's points are built on the first
-    lookup in them. The key is monotone, so bisecting the floats brackets
-    x's place exactly and only points whose floats equal x's are compared
-    as Fractions (``_locate``): lookups give the index plain bisection
-    gives. The window edges and the zone ends have keys too, and decide
-    where the materialization is exact the same way.
+    Lookups find x in a sorted point tuple by a shadow ``array('d')`` of
+    the points' float keys (``_float_key``): ``materialize`` stores the
+    keys of ``points``, and those of a component's points are built on the
+    first lookup in them. The key is monotone, so bisecting the floats
+    brackets x's place exactly and only points whose floats equal x's are
+    compared as Fractions: lookups give the index plain bisection gives.
+    The window edges and the zone ends have keys too, and decide where the
+    materialization is exact the same way.
     """
 
     window: Window
@@ -1227,7 +1226,7 @@ class Materialization:
     truncated_near: tuple = ()  # accumulation values where the cap hit
     truncation_zones: tuple = ()  # open intervals the enumeration left uncovered
     # float keys per point tuple: None for ``points``, else the component index
-    float_keys: dict = field(default_factory=dict, compare=False, repr=False)
+    _float_keys: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def truncated(self) -> bool:
@@ -1254,12 +1253,12 @@ class Materialization:
             for zlo, zhi, z in zones
         )
 
-    def keys(self, component: Optional[int]) -> array:
+    def point_keys(self, component: Optional[int]) -> array:
         """The float keys of a discrete component's points, or of ``points`` for None."""
-        keys = self.float_keys.get(component)
+        keys = self._float_keys.get(component)
         if keys is None:
             points = self.points if component is None else self.component_points[component]
-            keys = self.float_keys[component] = array("d", map(_float_key, points))
+            keys = self._float_keys[component] = array("d", map(_float_key, points))
         return keys
 
     def scope_points(self, component: Optional[int]) -> Optional[tuple]:
@@ -1270,18 +1269,12 @@ class Materialization:
             return None if None in self.component_points else self.points
         return self.component_points[component]
 
-    def _find(self, component: Optional[int], x: Scalar, fx: float) -> Optional[int]:
-        """The index of x, whose float key is fx, in the sorted points of a
-        discrete component, or in ``points`` for None; None when x is not there."""
-        points = self.points if component is None else self.component_points[component]
-        i = _locate(points, self.keys(component), x, fx)
-        return i if i < len(points) and points[i] == x else None
-
     def indices(self, component: Optional[int], xs, keys) -> list:
-        """``_find`` for each of the ascending ``xs``, whose float keys are
-        ``keys``, in one forward pass over the points."""
+        """The index of each of the ascending ``xs``, whose float keys are
+        ``keys``, in the sorted points of a discrete component, or in
+        ``points`` for None; None where it is not one. One forward pass."""
         points = self.points if component is None else self.component_points[component]
-        pkeys, out, j = self.keys(component), [], 0
+        pkeys, out, j = self.point_keys(component), [], 0
         for x, fx in zip(xs, keys):
             j = bisect.bisect_left(pkeys, fx, j)
             tied = bisect.bisect_right(pkeys, fx, j)  # points[j:tied] share x's key
@@ -1293,7 +1286,7 @@ class Materialization:
     def blocked(self, component: Optional[int], steps: int) -> list:
         """The index ranges [lo, hi) of the scope's points from which a
         shift by ``steps`` would meet a truncation zone on its way."""
-        points, keys = self.scope_points(component), self.keys(component)
+        points, keys = self.scope_points(component), self.point_keys(component)
         out = []
         for z in self.truncation_zones:
             u = _locate(points, keys, z.lo.value)
@@ -1308,11 +1301,12 @@ class Materialization:
         fx = _float_key(x)
         if not self._exact_at(x, fx):
             return None
-        if component is not None:
-            points = self.component_points[component]
-            return None if points is None else self._find(component, x, fx) is not None
-        if self._find(None, x, fx) is not None:
+        if component is not None and self.component_points[component] is None:
+            return None
+        if self.indices(component, (x,), (fx,))[0] is not None:
             return True
+        if component is not None:
+            return False
         i = bisect.bisect_right(self.fragments, x, key=lambda f: f.interval.lo.value)
         # fragments are disjoint, but one with an open end at x may follow
         # one with a closed end there
@@ -1327,7 +1321,7 @@ class Materialization:
         points = self.scope_points(component)
         if points is None:
             return None
-        i = self._find(component, x, _float_key(x))
+        (i,) = self.indices(component, (x,), (_float_key(x),))
         if i is None or not 0 <= i + steps < len(points):
             return None
         if any(lo <= i < hi for lo, hi in self.blocked(component, steps)):
@@ -1505,7 +1499,7 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
         component_points=tuple(per_component),
         truncated_near=tuple(sorted(set(truncated))),
         truncation_zones=tuple(sorted(zones, key=lambda z: z.lo.value)),
-        float_keys=float_keys,
+        _float_keys=float_keys,
     )
     if result.empty:
         raise EmptyWindow(f"no part of the space lies in {window}")

@@ -15,7 +15,10 @@ compared by type and text. Lookups in a materialization bisect float keys
 first (``_locate``), which is compared with plain ``bisect_left`` on
 values whose floats tie or overflow. Progressions and finite point sets,
 now gap sequences, are compared with the code that answered for them as
-component kinds of their own.
+component kinds of their own. Map evaluation by clause runs is compared
+with ``reference_eval``, the per-member clause ladder it replaced, and
+the round trips of the bijection check with ``reference_round_trip``,
+their sample-by-sample loop.
 """
 
 import bisect
@@ -40,9 +43,12 @@ from plasti.maps import (
     AffinePiece,
     IndexShift,
     MapDescription,
+    Sample,
     Table,
+    WindowSamples,
     _eval_member,
     _eval_members,
+    _round_trip,
 )
 from plasti.scalar import NEG_INF, POS_INF, format_scalar
 from plasti.space import (
@@ -690,20 +696,10 @@ def members_near(space, mat, cap) -> list:
 
 
 @st.composite
-def eval_cases(draw):
-    """A discrete space, sometimes with an interval part, its window
-    members, and a map of one to three clauses whose ends, keys and
-    restrictions fall on members, between them or at infinity: covers
-    that hold, and covers with zero or two claims."""
-    space, window, cap = draw(discrete_spaces())
-    if draw(st.booleans()):
-        lo = window.hi - draw(st.fractions(min_value=0, max_value=2, max_denominator=3))
-        piece = Interval(Endpoint(lo, draw(st.booleans())), Endpoint(lo + 1, draw(st.booleans())))
-        space = SubspaceDescription(space.components + (IntervalList((piece,)),))
-    mat = materialized(space, window, cap)
-    assume(mat is not None)
-    xs = members_near(space, mat, cap)
-    assume(xs)
+def maps_near(draw, xs, components):
+    """A map of one to three clauses whose ends, keys and restrictions fall
+    on the members xs, between them or at infinity, and whose table values
+    are often members: covers that hold, and covers with zero or two claims."""
     mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
     cut = st.sampled_from(xs + mids)
     small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -725,14 +721,30 @@ def eval_cases(draw):
     for kind in draw(st.lists(st.sampled_from(["table", "affine", "shift"]), min_size=1, max_size=3)):
         if kind == "table":
             keys = draw(st.lists(cut, min_size=1, max_size=3, unique=True))
-            clauses.append(Table(tuple((k, draw(small)) for k in keys)))
+            clauses.append(Table(tuple((k, draw(st.sampled_from(xs) | small)) for k in keys)))
         elif kind == "affine":
             clauses.append(AffinePiece(interval(), draw(small), draw(small)))
         else:
-            component = draw(st.sampled_from(["*", *range(len(space.components) + 1)]))
+            component = draw(st.sampled_from(["*", *range(components + 1)]))
             restriction = interval() if draw(st.booleans()) else None
             clauses.append(IndexShift(component, draw(st.integers(-3, 3)), restriction))
-    return space, mat, cap, xs, MapDescription(clauses=tuple(clauses))
+    return MapDescription(clauses=tuple(clauses))
+
+
+@st.composite
+def eval_cases(draw):
+    """A discrete space, sometimes with an interval part, its members near
+    the window, and a map near them."""
+    space, window, cap = draw(discrete_spaces())
+    if draw(st.booleans()):
+        lo = window.hi - draw(st.fractions(min_value=0, max_value=2, max_denominator=3))
+        piece = Interval(Endpoint(lo, draw(st.booleans())), Endpoint(lo + 1, draw(st.booleans())))
+        space = SubspaceDescription(space.components + (IntervalList((piece,)),))
+    mat = materialized(space, window, cap)
+    assume(mat is not None)
+    xs = members_near(space, mat, cap)
+    assume(xs)
+    return space, mat, cap, xs, draw(maps_near(xs, len(space.components)))
 
 
 SHIFTS_AND_A_TABLE = MapDescription(
@@ -792,6 +804,31 @@ def test_evaluation_matches_the_clause_ladder(case):
         upto = next((i + 1 for i, y in enumerate(expected) if y[0] != "value"), len(xs))
         images = _eval_members(desc, space, xs, cap, m, upto_failure=True)
         assert [as_outcome(y) for y in images[:upto]] == expected[:upto]
+
+
+def reference_round_trip(ws, back, space, cap):
+    """Sample by sample: the image must be a member, and ``back`` must undo it."""
+    for s in ws.point_samples:
+        known = ws.materialization.member(s.value)
+        if not (contains(space, s.value, cap) if known is None else known):
+            return "leaves", s.x
+        if reference_eval(back, space, s.value, cap, ws.materialization) != s.x:
+            return "undo", s.x
+    return None
+
+
+@given(eval_cases(), st.data())
+def test_round_trips_match_the_sample_loop(case, data):
+    space, mat, cap, xs, desc = case
+    evaluated = zip(xs, _eval_members(desc, space, xs, cap, mat))
+    images = [(x, y) for x, y in evaluated if not isinstance(y, PlastiError)]
+    assume(images)
+    back = data.draw(maps_near(sorted(set(xs) | {y for _, y in images}), len(space.components)))
+    ws = WindowSamples(mat, tuple(Sample(x, y, True) for x, y in images), (), ())
+    witness = outcome(_round_trip, ws, back, space, cap, "leaves", "undo")
+    if witness[0] == "value" and witness[1] is not None:
+        witness = ("value", (witness[1].detail, witness[1].points[0]))
+    assert witness == outcome(reference_round_trip, ws, back, space, cap)
 
 
 def as_outcome(image):
