@@ -645,9 +645,12 @@ def check_endomorphism(
 def _escape(space: SubspaceDescription, ws: WindowSamples, cap: int) -> Optional[Witness]:
     """The first image of a window member that leaves the space."""
     mat = ws.materialization
-    for s in ws.point_samples:
-        if not _member(space, s.value, cap, mat):
-            return Witness((s.x,), (s.value,), "image leaves the space")
+    i, error = _first_outside(space, [s.value for s in ws.point_samples], cap, mat)
+    if error is not None:
+        raise error
+    if i < len(ws.point_samples):
+        s = ws.point_samples[i]
+        return Witness((s.x,), (s.value,), "image leaves the space")
     for span in ws.spans:
         va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
         image_lo, image_hi = min(va, vb), max(va, vb)
@@ -659,6 +662,39 @@ def _escape(space: SubspaceDescription, ws: WindowSamples, cap: int) -> Optional
             bad = (y - span.piece.intercept) / span.piece.slope
             return Witness((bad,), (y,), "piece image leaves the space")
     return None
+
+
+def _distinct(values: list) -> tuple:
+    """(ys, keys, rank): the distinct values ascending, their float keys,
+    and the place of each value among them. The sort compares float keys
+    first, and Fractions only where keys tie."""
+    fkeys = list(map(_float_key, values))
+    ys, keys, rank = [], [], [0] * len(values)
+    for i in sorted(range(len(values)), key=lambda i: (fkeys[i], values[i])):
+        if not ys or values[i] != ys[-1]:
+            ys.append(values[i])
+            keys.append(fkeys[i])
+        rank[i] = len(ys) - 1
+    return ys, keys, rank
+
+
+def _first_outside(space: SubspaceDescription, values: list, cap: int, mat: Materialization) -> tuple:
+    """(i, error): the first of ``values``, in order, that is not a member
+    of the space, and the error testing it raised, if any; (len(values),
+    None) when all are members. The materialization decides the values
+    where it is exact, all at once; ``contains`` tests the others in turn."""
+    ys, keys, rank = _distinct(values)
+    known = mat.members(ys, keys)
+    for i, v in enumerate(values):
+        inside = known[rank[i]]
+        if inside is None:
+            try:
+                inside = contains(space, v, cap)
+            except PlastiError as err:
+                return i, err
+        if not inside:
+            return i, None
+    return len(values), None
 
 
 def _value_outside(
@@ -1008,26 +1044,12 @@ def _round_trip(
     """The first point sample whose image ``leaves`` the space or is not undone by ``back``.
 
     Images are tested for membership in sample order up to the first that
-    fails; ``back`` is then evaluated once over the distinct images before
-    it, ascending, and each sample is tested in order."""
+    fails (``_first_outside``); ``back`` is then evaluated once over the
+    distinct images before it, ascending, and each sample is tested in order."""
     mat = ws.materialization
     samples = ws.point_samples
-    stop, failure = len(samples), None  # the first image outside the space
-    for i, s in enumerate(samples):
-        try:
-            if _member(space, s.value, cap, mat):
-                continue
-        except PlastiError as err:
-            failure = err
-        stop = i
-        break
-    values = [s.value for s in samples[:stop]]
-    keys = list(map(_float_key, values))
-    ys, rank = [], [0] * stop  # the distinct images ascending; each sample's place among them
-    for i in sorted(range(stop), key=lambda i: (keys[i], values[i])):
-        if not ys or values[i] != ys[-1]:
-            ys.append(values[i])
-        rank[i] = len(ys) - 1
+    stop, failure = _first_outside(space, [s.value for s in samples], cap, mat)
+    ys, _, rank = _distinct([s.value for s in samples[:stop]])
     back_images = _eval_members(back, space, ys, cap, mat)
     for s, r in zip(samples, rank):
         image = back_images[r]

@@ -1299,14 +1299,21 @@ class Materialization:
         """Whether x is a member of the space, or of one of its components;
         None when the materialization does not decide it."""
         fx = _float_key(x)
-        if not self._exact_at(x, fx):
+        if component is None:
+            return self.members((x,), (fx,))[0]
+        if not self._exact_at(x, fx) or self.component_points[component] is None:
             return None
-        if component is not None and self.component_points[component] is None:
-            return None
-        if self.indices(component, (x,), (fx,))[0] is not None:
-            return True
-        if component is not None:
-            return False
+        return self.indices(component, (x,), (fx,))[0] is not None
+
+    def members(self, xs, keys) -> list:
+        """``member`` in the whole space for each of the ascending ``xs``,
+        whose float keys are ``keys``, in one pass."""
+        return [
+            None if not self._exact_at(x, fx) else i is not None or self._in_fragment(x)
+            for x, fx, i in zip(xs, keys, self.indices(None, xs, keys))
+        ]
+
+    def _in_fragment(self, x: Scalar) -> bool:
         i = bisect.bisect_right(self.fragments, x, key=lambda f: f.interval.lo.value)
         # fragments are disjoint, but one with an open end at x may follow
         # one with a closed end there

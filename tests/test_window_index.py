@@ -47,6 +47,7 @@ from plasti.maps import (
     Table,
     WindowSamples,
     _eval_member,
+    _escape,
     _eval_members,
     _round_trip,
 )
@@ -806,19 +807,31 @@ def test_evaluation_matches_the_clause_ladder(case):
         assert [as_outcome(y) for y in images[:upto]] == expected[:upto]
 
 
+def reference_member(space, x, cap, mat) -> bool:
+    known = mat.member(x)
+    return contains(space, x, cap) if known is None else known
+
+
 def reference_round_trip(ws, back, space, cap):
     """Sample by sample: the image must be a member, and ``back`` must undo it."""
     for s in ws.point_samples:
-        known = ws.materialization.member(s.value)
-        if not (contains(space, s.value, cap) if known is None else known):
+        if not reference_member(space, s.value, cap, ws.materialization):
             return "leaves", s.x
         if reference_eval(back, space, s.value, cap, ws.materialization) != s.x:
             return "undo", s.x
     return None
 
 
+def reference_escape(ws, space, cap):
+    """The first sample whose image is not a member, tested in sample order."""
+    for s in ws.point_samples:
+        if not reference_member(space, s.value, cap, ws.materialization):
+            return s.x
+    return None
+
+
 @given(eval_cases(), st.data())
-def test_round_trips_match_the_sample_loop(case, data):
+def test_round_trips_and_escapes_match_the_sample_loop(case, data):
     space, mat, cap, xs, desc = case
     evaluated = zip(xs, _eval_members(desc, space, xs, cap, mat))
     images = [(x, y) for x, y in evaluated if not isinstance(y, PlastiError)]
@@ -829,6 +842,10 @@ def test_round_trips_match_the_sample_loop(case, data):
     if witness[0] == "value" and witness[1] is not None:
         witness = ("value", (witness[1].detail, witness[1].points[0]))
     assert witness == outcome(reference_round_trip, ws, back, space, cap)
+    witness = outcome(_escape, space, ws, cap)
+    if witness[0] == "value" and witness[1] is not None:
+        witness = ("value", witness[1].points[0])
+    assert witness == outcome(reference_escape, ws, space, cap)
 
 
 def as_outcome(image):
