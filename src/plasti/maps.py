@@ -211,15 +211,15 @@ def _affine_images(piece: AffinePiece, xs):
     return lambda i: slope * xs[i] + icpt
 
 
-def _shift_images(points: Optional[tuple], at: dict, steps: int, blocked: list):
+def _shift_images(points: Optional[tuple], at: array, steps: int, blocked: list):
     """The member ``steps`` places along ``points`` from member i, found at
     index ``at[i]`` there, as a function of i; None where that is not
     decided: i is not a point, the target leaves ``points``, or a shift
     from there is ``blocked``, as ``Materialization.blocked`` gives."""
 
     def image(i):
-        a = at.get(i)
-        if a is None or not 0 <= a + steps < len(points) or any(lo <= a < hi for lo, hi in blocked):
+        a = at[i]
+        if a < 0 or not 0 <= a + steps < len(points) or any(lo <= a < hi for lo, hi in blocked):
             return None
         return points[a + steps]
 
@@ -241,9 +241,9 @@ def _eval_members(
     keys and the ends of affine domains and shift restrictions are located
     by float keys. Inside the window and outside its truncation zones the
     materialization decides a shift's scope, by a lookup in the scope's
-    points; elsewhere ``contains`` does, member by member. A member that no
-    clause or two clauses claim gets the error for that, and an error raised
-    while testing a clause there is kept, the first in clause order. Affine
+    points; elsewhere ``contains`` does, member by member. A member where
+    testing a clause raises gets the first such error in clause order, and
+    one that no clause or two clauses claim gets the error for that. Affine
     runs are evaluated in a list, and a shift steps along the scope's
     points by index arithmetic; only a target that leaves them, or lies
     past a truncation zone, is walked to by ``successor``/``predecessor``,
@@ -310,15 +310,15 @@ def _eval_members(
                 continue
             walked = space if scope is None else SubspaceDescription((space.components[scope],))
             points = None if mat is None else mat.scope_points(scope)
-            at, blocked = {}, []  # member -> its index in the scope's points
+            at, blocked = array("q", [-1]) * n, []  # each member's index in the scope's points
             if points is not None:
                 span = slice(members.start, members.stop)
-                at = {i: a for i, a in zip(members, mat.indices(scope, xs[span], keys[span])) if a is not None}
+                at[span] = mat.indices(scope, xs[span], keys[span])
                 blocked = mat.blocked(scope, clause.steps)
-            mine = []
+            mine = array("q")
             for i in members:
                 if exact[i] and (scope is None or points is not None):
-                    if scope is None or i in at:  # a member, or a point of the component
+                    if scope is None or at[i] >= 0:  # a member, or a point of the component
                         mine.append(i)
                     continue
                 try:
@@ -664,29 +664,12 @@ def _escape(space: SubspaceDescription, ws: WindowSamples, cap: int) -> Optional
     return None
 
 
-def _distinct(values: list) -> tuple:
-    """(ys, keys, rank): the distinct values ascending, their float keys,
-    and the place of each value among them. The sort compares float keys
-    first, and Fractions only where keys tie."""
-    fkeys = list(map(_float_key, values))
-    ys, keys, rank = [], [], [0] * len(values)
-    for i in sorted(range(len(values)), key=lambda i: (fkeys[i], values[i])):
-        if not ys or values[i] != ys[-1]:
-            ys.append(values[i])
-            keys.append(fkeys[i])
-        rank[i] = len(ys) - 1
-    return ys, keys, rank
-
-
 def _first_outside(space: SubspaceDescription, values: list, cap: int, mat: Materialization) -> tuple:
     """(i, error): the first of ``values``, in order, that is not a member
     of the space, and the error testing it raised, if any; (len(values),
     None) when all are members. The materialization decides the values
     where it is exact, all at once; ``contains`` tests the others in turn."""
-    ys, keys, rank = _distinct(values)
-    known = mat.members(ys, keys)
-    for i, v in enumerate(values):
-        inside = known[rank[i]]
+    for i, (v, inside) in enumerate(zip(values, mat.members(values))):
         if inside is None:
             try:
                 inside = contains(space, v, cap)
@@ -1049,7 +1032,13 @@ def _round_trip(
     mat = ws.materialization
     samples = ws.point_samples
     stop, failure = _first_outside(space, [s.value for s in samples], cap, mat)
-    ys, _, rank = _distinct([s.value for s in samples[:stop]])
+    values = [s.value for s in samples[:stop]]
+    keys = array("d", map(_float_key, values))
+    ys, rank = [], array("q", bytes(8 * stop))  # the distinct images ascending; each one's place
+    for i in sorted(range(stop), key=lambda i: (keys[i], values[i])):
+        if not ys or values[i] != ys[-1]:
+            ys.append(values[i])
+        rank[i] = len(ys) - 1
     back_images = _eval_members(back, space, ys, cap, mat)
     for s, r in zip(samples, rank):
         image = back_images[r]

@@ -1253,7 +1253,7 @@ class Materialization:
             for zlo, zhi, z in zones
         )
 
-    def point_keys(self, component: Optional[int]) -> array:
+    def _point_keys(self, component: Optional[int]) -> array:
         """The float keys of a discrete component's points, or of ``points`` for None."""
         keys = self._float_keys.get(component)
         if keys is None:
@@ -1269,24 +1269,24 @@ class Materialization:
             return None if None in self.component_points else self.points
         return self.component_points[component]
 
-    def indices(self, component: Optional[int], xs, keys) -> list:
-        """The index of each of the ascending ``xs``, whose float keys are
-        ``keys``, in the sorted points of a discrete component, or in
-        ``points`` for None; None where it is not one. One forward pass."""
+    def indices(self, component: Optional[int], xs, keys) -> array:
+        """The index of each of ``xs``, whose float keys are ``keys``, in
+        the sorted points of a discrete component, or in ``points`` for
+        None; -1 where it is not one."""
         points = self.points if component is None else self.component_points[component]
-        pkeys, out, j = self.point_keys(component), [], 0
+        pkeys, out = self._point_keys(component), array("q")
         for x, fx in zip(xs, keys):
-            j = bisect.bisect_left(pkeys, fx, j)
+            j = bisect.bisect_left(pkeys, fx)
             tied = bisect.bisect_right(pkeys, fx, j)  # points[j:tied] share x's key
             if tied - j > 1:
                 j = bisect.bisect_left(points, x, j, tied)
-            out.append(j if j < tied and (points[j] is x or points[j] == x) else None)
+            out.append(j if j < tied and (points[j] is x or points[j] == x) else -1)
         return out
 
     def blocked(self, component: Optional[int], steps: int) -> list:
         """The index ranges [lo, hi) of the scope's points from which a
         shift by ``steps`` would meet a truncation zone on its way."""
-        points, keys = self.scope_points(component), self.point_keys(component)
+        points, keys = self.scope_points(component), self._point_keys(component)
         out = []
         for z in self.truncation_zones:
             u = _locate(points, keys, z.lo.value)
@@ -1298,18 +1298,18 @@ class Materialization:
     def member(self, x: Scalar, component: Optional[int] = None) -> Optional[bool]:
         """Whether x is a member of the space, or of one of its components;
         None when the materialization does not decide it."""
-        fx = _float_key(x)
         if component is None:
-            return self.members((x,), (fx,))[0]
+            return self.members((x,))[0]
+        fx = _float_key(x)
         if not self._exact_at(x, fx) or self.component_points[component] is None:
             return None
-        return self.indices(component, (x,), (fx,))[0] is not None
+        return self.indices(component, (x,), (fx,))[0] >= 0
 
-    def members(self, xs, keys) -> list:
-        """``member`` in the whole space for each of the ascending ``xs``,
-        whose float keys are ``keys``, in one pass."""
+    def members(self, xs) -> list:
+        """``member`` in the whole space for each of ``xs``."""
+        keys = array("d", map(_float_key, xs))
         return [
-            None if not self._exact_at(x, fx) else i is not None or self._in_fragment(x)
+            None if not self._exact_at(x, fx) else i >= 0 or self._in_fragment(x)
             for x, fx, i in zip(xs, keys, self.indices(None, xs, keys))
         ]
 
@@ -1329,7 +1329,7 @@ class Materialization:
         if points is None:
             return None
         (i,) = self.indices(component, (x,), (_float_key(x),))
-        if i is None or not 0 <= i + steps < len(points):
+        if i < 0 or not 0 <= i + steps < len(points):
             return None
         if any(lo <= i < hi for lo, hi in self.blocked(component, steps)):
             return None
@@ -1479,13 +1479,21 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
         keys = array("d", map(_float_key, points))
         float_keys = {None: keys, sources[0]: keys}
     else:
-        # by float key first: Fractions are compared only where keys tie
-        pairs = sorted(zip(map(_float_key, points), points))
-        for (ka, a), (kb, b) in zip(pairs, pairs[1:]):
-            if ka == kb and a == b:
-                raise SpaceError(f"components overlap at point {format_scalar(a)}")
-        points = [p for _, p in pairs]
-        float_keys = {None: array("d", (k for k, _ in pairs))}
+        # by float key; Fractions are compared only in a run of tied keys,
+        # which holds any two equal points
+        points.sort(key=_float_key)
+        keys = array("d", map(_float_key, points))
+        start = 0
+        for i in range(1, len(points) + 1):
+            if i < len(points) and keys[i] == keys[start]:
+                continue
+            if i - start > 1:
+                run = points[start:i] = sorted(points[start:i])
+                for a, b in zip(run, run[1:]):
+                    if a == b:
+                        raise SpaceError(f"components overlap at point {format_scalar(a)}")
+            start = i
+        float_keys = {None: keys}
     fragments.sort(key=lambda f: (f.interval.lo.value, f.interval.hi.value))
     for a, b in zip(fragments, fragments[1:]):
         if a.interval.overlaps(b.interval):

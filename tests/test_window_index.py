@@ -939,6 +939,21 @@ def test_member_and_shift_on_float_ties_match_the_references(cluster, extra, ste
         assert mat.shift(i, x, steps) == reference_shift(scope, x, steps, cap)
 
 
+@pytest.mark.parametrize(
+    "sets, at",
+    [
+        ([(F(0), F(1)), (F(1), F(2))], "1"),
+        # the shared point sits in a run of points whose float keys tie
+        ([(F(0), QUARTER_TIES[1]), (F(1, 4), *QUARTER_TIES)], format_scalar(QUARTER_TIES[1])),
+    ],
+)
+def test_components_that_share_a_point_are_refused(sets, at):
+    space = SubspaceDescription(tuple(FinitePoints(pts) for pts in sets))
+    with pytest.raises(PlastiError) as err:
+        materialize(space, Window(F(-1), F(3)))
+    assert str(err.value) == f"components overlap at point {at}"
+
+
 # -------------------------------------------------------------------
 # Progressions against their own arithmetic
 # -------------------------------------------------------------------
