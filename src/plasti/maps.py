@@ -14,9 +14,9 @@ every pair and every triple.
 
 A window is evaluated by runs (``_eval_members``). Each clause claims the
 sorted members it covers as index runs, found by bisecting float keys, so
-a member with zero or two claims shows at once. Affine runs are mapped in
-a list, and an index shift steps along the materialized points by index
-arithmetic; only a target beyond them is walked to member by member.
+a member with zero or two claims shows at once. An index shift steps
+along the materialized points by index arithmetic; only a target beyond
+them is walked to member by member, and only when its image is asked for.
 ``eval_map`` is the same code on one member, so the two cannot disagree.
 
 Each check names only its first witness, or None, testing in a fixed
@@ -25,14 +25,15 @@ The first pair that moves apart, or changes its distance, is found in
 linear time, and it is the pair a loop over all pairs finds first. For
 point samples x_i < x_j, |v_j - v_i| > x_j - x_i holds exactly when
 v - x rises or v + x falls from i to j, and |v_j - v_i| = x_j - x_i
-exactly when one of the two stays equal. Suffix extrema, or suffix
-counts, of v - x and v + x therefore tell which row of the pair order
-holds the first broken pair, and only that row is scanned.
+exactly when one of the two stays equal. Running extrema of v - x and
+v + x therefore name the first row a sample moves apart from, and a pair
+that changes its distance starts at one of the first two samples.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -201,8 +202,9 @@ def _eval_member(
 
 
 def _affine_images(piece: AffinePiece, xs):
-    """The image of xs[i] under ``piece``, as a function of i. A unit slope
-    needs no product; the values are those of ``piece.apply``."""
+    """The image of xs[i] under ``piece``, as a function of i, with the
+    values of ``piece.apply``. Unit slopes, the isometric pieces, are most
+    affine clauses; they skip the Fraction product."""
     slope, icpt = piece.slope, piece.intercept
     if slope == 1:
         return xs.__getitem__ if icpt == 0 else lambda i: xs[i] + icpt
@@ -232,10 +234,11 @@ def _eval_members(
     xs,
     cap: int,
     mat: Optional[Materialization] = None,
-    upto_failure: bool = False,
-) -> list:
-    """The image of each of the strictly ascending members ``xs``, or the
-    plasti error that evaluating the map at that member alone raises.
+    order=None,
+):
+    """Yield the image of xs[i] for each i of ``order``, by default each of
+    the strictly ascending members ``xs`` in turn, or the plasti error that
+    evaluating the map at that member alone raises.
 
     Each clause finds the members it claims as index runs of ``xs``: table
     keys and the ends of affine domains and shift restrictions are located
@@ -244,11 +247,11 @@ def _eval_members(
     points; elsewhere ``contains`` does, member by member. A member where
     testing a clause raises gets the first such error in clause order, and
     one that no clause or two clauses claim gets the error for that. Affine
-    runs are evaluated in a list, and a shift steps along the scope's
-    points by index arithmetic; only a target that leaves them, or lies
-    past a truncation zone, is walked to by ``successor``/``predecessor``,
-    in ascending order. With ``upto_failure`` the walks stop at the first
-    member that fails, and later members that need one are left as None.
+    runs are mapped by ``_affine_images``, and a shift steps along the
+    scope's points by index arithmetic; only a target that leaves them, or
+    lies past a truncation zone, is walked to by ``successor`` or
+    ``predecessor``, and only when its image is asked for, so a caller that
+    stops at the first failure walks no further.
     """
     n = len(xs)
     keys = array("d", map(_float_key, xs))
@@ -280,14 +283,11 @@ def _eval_members(
 
     def claim(members, image, walk=None) -> None:
         c = len(clauses)
-        if isinstance(members, range) and owner[members.start : members.stop].count(-1) == len(members):
-            owner[members.start : members.stop] = [c] * len(members)
-        else:
-            for i in members:
-                if owner[i] < 0:
-                    owner[i] = c
-                else:
-                    claims[i] = claims.get(i, 1) + 1
+        for i in members:
+            if owner[i] < 0:
+                owner[i] = c
+            else:
+                claims[i] = claims.get(i, 1) + 1
         clauses.append((members, image, walk))
 
     for clause in desc.clauses:
@@ -340,22 +340,20 @@ def _eval_members(
         else:
             images[i] = NoPieceApplies(f"no clause claims {format_scalar(xs[i])}")
         owner[i] = -2  # answered
-    walks = []  # (member, scope, steps)
+    walks = {}  # member -> (scope, steps) of the walk to its image
     for c, (members, image, walk) in enumerate(clauses):
         for i in [i for i in members if owner[i] == c] if errors or claims else members:
             if (y := image(i)) is None:
-                walks.append((i, *walk))
+                walks[i] = walk
             images[i] = y
-    first = min([*errors, *claims, *unclaimed], default=n)
-    for i, scope, steps in sorted(walks, key=lambda w: w[0]):
-        if upto_failure and i > first:
-            break
-        try:
-            images[i] = _walk(scope, xs[i], steps, cap)
-        except PlastiError as err:
-            images[i] = err
-            first = min(first, i)
-    return images
+    for i in range(n) if order is None else order:
+        if i in walks:
+            scope, steps = walks.pop(i)
+            try:
+                images[i] = _walk(scope, xs[i], steps, cap)
+            except PlastiError as err:
+                images[i] = err
+        yield images[i]
 
 
 def orbit(
@@ -546,10 +544,11 @@ def collect_samples(
     # are all members, so they skip eval_map's membership test
     extra_xs = sorted(x for x in extra_xs if not in_sorted(pts, x))
     xs = list(merge(pts, extra_xs))
-    images = _eval_members(desc, space, xs, cap, mat, upto_failure=True)
-    for image in images:
+    images = []
+    for image in _eval_members(desc, space, xs, cap, mat):
         if isinstance(image, PlastiError):
             raise image  # the first member, in x order, where evaluation fails
+        images.append(image)
     point_samples = tuple(Sample(x, y, True) for x, y in zip(xs, images))
     # A member cut point whose true image equals the piece limit makes the
     # duplicate limit sample redundant; keep limits only when they differ.
@@ -766,81 +765,76 @@ def _slope_witness(ws: WindowSamples, bad_slope, detail: str) -> Optional[Witnes
 
 
 def _pair_witness(
-    ws: WindowSamples, bad_slope, slope_detail: str, sweep, first_row, broken, pair_detail: str
+    ws: WindowSamples, bad_slope, slope_detail: str, sweep, first_pair, broken, pair_detail: str
 ) -> Optional[Witness]:
     """A span slope that breaks a pair property, else the first ``broken``
     sample pair in pair order, nudged onto members, when the ``sweep`` finds one."""
     witness = _slope_witness(ws, bad_slope, slope_detail)
     if witness is not None or sweep(ws.all_samples):
         return witness
-    pair = _first_broken_pair(ws.point_samples, ws.limit_samples, first_row, broken)
+    pair = _first_broken_pair(ws.point_samples, ws.limit_samples, first_pair, broken)
     return None if pair is None else _member_witness(pair, pair_detail, broken)
 
 
-def _first_broken_pair(points: tuple, limits: tuple, first_row, broken) -> Optional[tuple]:
+def _first_broken_pair(points: tuple, limits: tuple, first_pair, broken) -> Optional[tuple]:
     """The first ``broken`` pair of ``combinations(points + limits, 2)``.
 
-    Most witnesses start at the first sample, so its row is scanned first,
-    up to its first broken pair. Past it, ``first_row(points)`` names the
-    first point sample that a later point sample breaks the property with,
-    and only that row is scanned. A row before it can break only with a
-    limit sample, and pairs of limit samples come last; those are tested
-    directly.
+    ``first_pair(points)`` names the first broken pair of point samples as
+    indices (i, j), or None. A row before i can break only with a limit
+    sample, and pairs of limit samples come last; those are tested directly.
     """
-    samples = points + limits
-    pair = next(((samples[0], q) for q in samples[1:] if broken(samples[0], q)), None)
-    if pair is not None or not samples:
-        return pair
-    row = first_row(points)
-    for p in points[1:row]:
+    pair = first_pair(points)
+    for p in points[: len(points) if pair is None else pair[0]]:
         for q in limits:
             if broken(p, q):
                 return p, q
-    if row < len(points):
-        p = points[row]
-        return next((p, q) for q in points[row + 1 :] if broken(p, q))
+    if pair is not None:
+        return points[pair[0]], points[pair[1]]
     return next((pair for pair in combinations(limits, 2) if broken(*pair)), None)
 
 
-def _first_row_moving_apart(points: tuple) -> int:
-    """The first i such that some later point sample moves apart from the
-    i-th, else len(points).
+def _first_pair_moving_apart(points: tuple) -> Optional[tuple]:
+    """(i, j): the first pair of point samples, in pair order, that moves
+    apart, else None.
 
     Point samples have distinct ascending x. For x_i < x_j,
     |v_j - v_i| > x_j - x_i exactly when v - x rises from i to j or v + x
-    falls, so suffix maxima of v - x and minima of v + x decide each row.
+    falls. Going up j, the running minimum of v - x only falls and the
+    running maximum of v + x only rises, so bisecting them gives the first
+    row that j moves apart from. Only rows before the best pair so far are
+    searched, and a pair in the first row ends the scan.
     """
-    first, top, bottom = len(points), None, None
-    for i in range(len(points) - 1, -1, -1):
-        s = points[i]
+    best, lows, highs = None, [], []  # running minima of v - x, maxima of v + x
+    for j, s in enumerate(points):
         rise, fall = s.value - s.x, s.value + s.x
-        if top is None:
-            top, bottom = rise, fall
-            continue
-        if top > rise or bottom < fall:
-            first = i
-        top, bottom = max(top, rise), min(bottom, fall)
-    return first
+        k = j if best is None else best[0]
+        if k and (lows[k - 1] < rise or highs[k - 1] > fall):
+            i = bisect_left(range(k), True, key=lambda i: lows[i] < rise or highs[i] > fall)
+            best = (i, j)
+            if i == 0:
+                break
+        lows.append(min(lows[-1], rise) if lows else rise)
+        highs.append(max(highs[-1], fall) if highs else fall)
+    return best
 
 
-def _first_row_changing_distance(points: tuple) -> int:
-    """The first i such that some later point sample changes its distance
-    to the i-th, else len(points).
+def _first_pair_changing_distance(points: tuple) -> Optional[tuple]:
+    """(i, j): the first pair of point samples, in pair order, that changes
+    its distance, else None.
 
-    For x_i < x_j, |v_j - v_i| = x_j - x_i exactly when v - x or v + x is
-    the same at j as at i, and never both, as x_j != x_i. So row i keeps
-    every distance exactly when the later samples that share its v - x and
-    those that share its v + x are all of them: suffix counts decide.
+    It starts at the first or the second sample. For x_i < x_j,
+    |v_j - v_i| = x_j - x_i exactly when v - x or v + x is the same at j as
+    at i. The first two samples keep their distance, so they share one of
+    the two, say v - x = c. A sample that keeps its distance to both has
+    v - x = c, or else v + x equal to the value at both of them, which
+    would put them at one x. So if every sample kept its distance to the
+    first two, all would lie on v = x + c, and no pair would change.
     """
-    first, rises, falls = len(points), {}, {}
-    for i in range(len(points) - 1, -1, -1):
-        s = points[i]
-        rise, fall = s.value - s.x, s.value + s.x
-        if rises.get(rise, 0) + falls.get(fall, 0) < len(points) - 1 - i:
-            first = i
-        rises[rise] = rises.get(rise, 0) + 1
-        falls[fall] = falls.get(fall, 0) + 1
-    return first
+    n = len(points)
+    return next(
+        ((i, j) for i in range(min(n, 2)) for j in range(i + 1, n) if _changes_distance(points[i], points[j])),
+        None,
+    )
 
 
 def check_nonexpansive(
@@ -861,7 +855,7 @@ def check_nonexpansive(
         lambda slope: abs(slope) > 1,
         "piece slope {slope} exceeds 1 in size",
         _sweep_nonexpansive,
-        _first_row_moving_apart,
+        _first_pair_moving_apart,
         _moves_apart,
         "pair moves apart",
     )
@@ -1027,8 +1021,9 @@ def _round_trip(
     """The first point sample whose image ``leaves`` the space or is not undone by ``back``.
 
     Images are tested for membership in sample order up to the first that
-    fails (``_first_outside``); ``back`` is then evaluated once over the
-    distinct images before it, ascending, and each sample is tested in order."""
+    fails (``_first_outside``); ``back`` then claims the distinct images
+    before it by runs, ascending, and each sample is tested in order, so no
+    walk is made for a sample past the first that fails."""
     mat = ws.materialization
     samples = ws.point_samples
     stop, failure = _first_outside(space, [s.value for s in samples], cap, mat)
@@ -1039,9 +1034,7 @@ def _round_trip(
         if not ys or values[i] != ys[-1]:
             ys.append(values[i])
         rank[i] = len(ys) - 1
-    back_images = _eval_members(back, space, ys, cap, mat)
-    for s, r in zip(samples, rank):
-        image = back_images[r]
+    for s, image in zip(samples, _eval_members(back, space, ys, cap, mat, rank)):
         if isinstance(image, PlastiError):
             raise image
         if image != s.x:
@@ -1087,7 +1080,7 @@ def check_isometry(
         lambda slope: abs(slope) != 1,
         "piece slope {slope} is not a unit",
         _sweep_isometry,
-        _first_row_changing_distance,
+        _first_pair_changing_distance,
         _changes_distance,
         "pair changes distance",
     )

@@ -1206,8 +1206,8 @@ class Materialization:
     a point or lies in a fragment, and two neighbours in a component's
     points, or in ``points`` when no component is an interval kind, are
     adjacent members when no zone lies between them. ``member`` and
-    ``shift`` answer from it there and return None elsewhere; ``indices``
-    and ``blocked`` give a run of members the same answers at once.
+    ``members`` answer membership from it there and None elsewhere;
+    ``indices`` and ``blocked`` give index shifts along the points.
 
     Lookups find x in a sorted point tuple by a shadow ``array('d')`` of
     the points' float keys (``_float_key``): ``materialize`` stores the
@@ -1295,15 +1295,10 @@ class Materialization:
             out.append((u - steps, v) if steps >= 0 else (u, v - steps))
         return out
 
-    def member(self, x: Scalar, component: Optional[int] = None) -> Optional[bool]:
-        """Whether x is a member of the space, or of one of its components;
-        None when the materialization does not decide it."""
-        if component is None:
-            return self.members((x,))[0]
-        fx = _float_key(x)
-        if not self._exact_at(x, fx) or self.component_points[component] is None:
-            return None
-        return self.indices(component, (x,), (fx,))[0] >= 0
+    def member(self, x: Scalar) -> Optional[bool]:
+        """Whether x is a member of the space; None when the
+        materialization does not decide it."""
+        return self.members((x,))[0]
 
     def members(self, xs) -> list:
         """``member`` in the whole space for each of ``xs``."""
@@ -1318,22 +1313,6 @@ class Materialization:
         # fragments are disjoint, but one with an open end at x may follow
         # one with a closed end there
         return any(f.interval.contains(x) for f in self.fragments[max(i - 2, 0) : i])
-
-    def shift(self, component: Optional[int], x: Scalar, steps: int) -> Optional[Scalar]:
-        """The member ``steps`` places from the member x in adjacency order,
-        within one component or the whole space (component None); None when
-        the materialization does not decide it: x is not a point, the target
-        leaves the tuple, a truncation zone lies between, or the scope has
-        interval kinds, where adjacency is undefined."""
-        points = self.scope_points(component)
-        if points is None:
-            return None
-        (i,) = self.indices(component, (x,), (_float_key(x),))
-        if i < 0 or not 0 <= i + steps < len(points):
-            return None
-        if any(lo <= i < hi for lo, hi in self.blocked(component, steps)):
-            return None
-        return points[i + steps]
 
 
 def _materialize_points(comp: GapSequence, window: Window, cap: int) -> tuple:
@@ -1481,8 +1460,10 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
     else:
         # by float key; Fractions are compared only in a run of tied keys,
         # which holds any two equal points
-        points.sort(key=_float_key)
-        keys = array("d", map(_float_key, points))
+        unsorted = list(map(_float_key, points))
+        order = sorted(range(len(points)), key=unsorted.__getitem__)
+        points = [points[i] for i in order]
+        keys = array("d", [unsorted[i] for i in order])
         start = 0
         for i in range(1, len(points) + 1):
             if i < len(points) and keys[i] == keys[start]:

@@ -851,7 +851,7 @@ def test_checks_agree_with_brute_force_on_dense_members(case):
 # -------------------------------------------------------------------
 
 
-def _reference_pair_witness(ws, bad_slope, slope_detail, sweep, first_row, broken, pair_detail):
+def _reference_pair_witness(ws, bad_slope, slope_detail, sweep, first_pair, broken, pair_detail):
     """A span slope that breaks the property, else the first ``broken``
     pair of ``combinations(ws.all_samples, 2)``, nudged onto members."""
     from itertools import combinations
@@ -864,10 +864,10 @@ def _reference_pair_witness(ws, bad_slope, slope_detail, sweep, first_row, broke
 
 
 _PAIR_CHECKS = (
-    (maps._sweep_nonexpansive, maps._first_row_moving_apart, maps._moves_apart, "pair moves apart"),
+    (maps._sweep_nonexpansive, maps._first_pair_moving_apart, maps._moves_apart, "pair moves apart"),
     (
         maps._sweep_isometry,
-        maps._first_row_changing_distance,
+        maps._first_pair_changing_distance,
         maps._changes_distance,
         "pair changes distance",
     ),
@@ -905,8 +905,8 @@ def _window_samples(draw):
 
 @given(_window_samples())
 def test_pair_witness_is_the_first_broken_pair_of_the_pair_loop(ws):
-    for sweep, first_row, broken, detail in _PAIR_CHECKS:
-        args = (ws, lambda slope: False, "", sweep, first_row, broken, detail)
+    for sweep, first_pair, broken, detail in _PAIR_CHECKS:
+        args = (ws, lambda slope: False, "", sweep, first_pair, broken, detail)
         assert maps._pair_witness(*args) == _reference_pair_witness(*args)
 
 

@@ -18,7 +18,9 @@ now gap sequences, are compared with the code that answered for them as
 component kinds of their own. Map evaluation by clause runs is compared
 with ``reference_eval``, the per-member clause ladder it replaced, and
 the round trips of the bijection check with ``reference_round_trip``,
-their sample-by-sample loop.
+their sample-by-sample loop. Index shifts along a materialization are
+read as run evaluation reads them (``indexed_shift``) and compared with
+the successor search.
 """
 
 import bisect
@@ -39,6 +41,7 @@ from plasti.errors import (
     PlastiError,
     RuleDivergence,
 )
+from plasti import maps
 from plasti.maps import (
     AffinePiece,
     IndexShift,
@@ -50,6 +53,9 @@ from plasti.maps import (
     _escape,
     _eval_members,
     _round_trip,
+    _shift_images,
+    collect_samples,
+    full_line,
 )
 from plasti.scalar import NEG_INF, POS_INF, format_scalar
 from plasti.space import (
@@ -507,7 +513,7 @@ def test_materialized_membership_matches_contains(case):
         if known is not None:
             assert known == contains(space, x, cap)
         for i, comp in enumerate(space.components):
-            known = mat.member(x, i)
+            known = indexed_member(mat, x, i)
             if known is not None:
                 assert known == component_contains(comp, x, cap)
 
@@ -520,7 +526,7 @@ def test_materialized_membership_on_interval_spaces():
     for x in (F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(9, 4), F(5, 2), F(3), F(4), F(7)):
         expected = None if x == 7 else contains(space, x)
         assert mat.member(x) == expected
-    assert mat.member(F(5, 2), 1) is True and mat.member(F(1, 2), 0) is None
+    assert indexed_member(mat, F(5, 2), 1) is True and indexed_member(mat, F(1, 2), 0) is None
 
 
 CLIMB = SubspaceDescription((GapSequence(F(0), right=TelescopingGaps(F(0))),))  # up to 1
@@ -565,6 +571,25 @@ def test_an_exhausted_predecessor_walk_names_its_own_search():
     )
 
 
+def indexed_member(mat, x, component):
+    """Whether x is a point of a discrete component, read from
+    ``Materialization.indices`` as run evaluation reads it; None where the
+    materialization is not exact or the component is an interval kind."""
+    if mat.member(x) is None or mat.component_points[component] is None:
+        return None
+    return mat.indices(component, (x,), float_keys((x,)))[0] >= 0
+
+
+def indexed_shift(mat, component, x, steps):
+    """The member ``steps`` places from x along the scope's points, as run
+    evaluation finds it (``_shift_images``); None where it walks instead."""
+    points = mat.scope_points(component)
+    if points is None:
+        return None
+    at = mat.indices(component, (x,), float_keys((x,)))
+    return _shift_images(points, at, steps, mat.blocked(component, steps))(0)
+
+
 def shift_maps(space, steps, restriction=None):
     scopes = ["*", *range(len(space.components))]
     return [IndexShift(c, k, restriction) for c in scopes for k in steps]
@@ -597,11 +622,11 @@ def test_a_shift_across_a_truncation_zone_falls_back():
     mat = materialize(space, Window(F(0), F(10)), 20)
     (zone,) = mat.truncation_zones
     assert mat.points[1] == zone.hi.value
-    assert mat.shift(None, F(0), 1) is None
-    assert mat.shift(None, mat.points[1], -1) is None
-    assert mat.shift(None, mat.points[1], 1) == mat.points[2]
-    assert mat.shift(1, mat.points[1], 1) == mat.points[2]
-    assert mat.shift(1, F(1, 2), 1) is None  # leaves the tuple: 1/2 is the tail's last point
+    assert indexed_shift(mat, None, F(0), 1) is None
+    assert indexed_shift(mat, None, mat.points[1], -1) is None
+    assert indexed_shift(mat, None, mat.points[1], 1) == mat.points[2]
+    assert indexed_shift(mat, 1, mat.points[1], 1) == mat.points[2]
+    assert indexed_shift(mat, 1, F(1, 2), 1) is None  # leaves the tuple: 1/2 is the tail's last point
     desc = MapDescription(clauses=(IndexShift("*", 1),))
     assert outcome(_eval_member, desc, space, F(0), 20, mat)[0] == "NoAdjacentPoint"
 
@@ -611,8 +636,8 @@ def test_shifts_on_interval_scopes_still_raise_not_discrete():
         (FinitePoints((F(0), F(1))), IntervalList((Interval.open(F(2), F(3)),)))
     )
     mat = materialize(space, Window(F(-1), F(4)))
-    assert mat.shift(None, F(0), 1) is None and mat.shift(1, F(0), 1) is None
-    assert mat.shift(0, F(0), 1) == F(1)
+    assert indexed_shift(mat, None, F(0), 1) is None and indexed_shift(mat, 1, F(0), 1) is None
+    assert indexed_shift(mat, 0, F(0), 1) == F(1)
     desc = MapDescription(clauses=(IndexShift("*", 1),))
     with pytest.raises(NotDiscrete):
         _eval_member(desc, space, F(0), 100, mat)
@@ -626,8 +651,9 @@ def test_shifts_on_interval_scopes_still_raise_not_discrete():
 def reference_eval(desc, space, x, cap, mat):
     """The per-member ladder: every clause is tested at the member x in
     clause order, then the one claiming clause is applied. The window
-    materialization, when given, answers membership and index shifts
-    where it decides them."""
+    materialization, when given, answers membership where it is exact, and
+    an index shift that stays in the scope's points and passes no
+    truncation zone."""
 
     def scope(clause):
         if clause.component == "*":
@@ -639,9 +665,11 @@ def reference_eval(desc, space, x, cap, mat):
         return clause.component
 
     def member(component):
-        known = None if mat is None else mat.member(x, component)
-        if known is not None:
-            return known
+        if mat is not None and mat.member(x) is not None:
+            if component is None:
+                return mat.member(x)
+            if mat.component_points[component] is not None:
+                return x in mat.component_points[component]
         if component is None:
             return contains(space, x, cap)
         return component_contains(space.components[component], x, cap)
@@ -666,9 +694,11 @@ def reference_eval(desc, space, x, cap, mat):
     if isinstance(clause, AffinePiece):
         return clause.apply(x)
     component = scope(clause)
-    if mat is not None:
-        target = mat.shift(component, x, clause.steps)
-        if target is not None:
+    points = None if mat is None else mat.scope_points(component)
+    if points is not None and x in points and 0 <= points.index(x) + clause.steps < len(points):
+        target = points[points.index(x) + clause.steps]
+        lo, hi = sorted((x, target))
+        if not any(z.lo.value < hi and lo < z.hi.value for z in mat.truncation_zones):
             return target
     walked = space if component is None else SubspaceDescription((space.components[component],))
     step = successor if clause.steps > 0 else predecessor
@@ -801,10 +831,10 @@ def test_evaluation_matches_the_clause_ladder(case):
         assert [outcome(_eval_member, desc, space, x, cap, m) for x in xs] == expected
         images = _eval_members(desc, space, xs, cap, m)
         assert [as_outcome(y) for y in images] == expected
-        # up to the first failure, which is what sample collection raises
-        upto = next((i + 1 for i, y in enumerate(expected) if y[0] != "value"), len(xs))
-        images = _eval_members(desc, space, xs, cap, m, upto_failure=True)
-        assert [as_outcome(y) for y in images[:upto]] == expected[:upto]
+        # asked for in descending order, and each twice
+        order = [i for i in reversed(range(len(xs))) for _ in (0, 1)]
+        images = _eval_members(desc, space, xs, cap, m, order)
+        assert [as_outcome(y) for y in images] == [expected[i] for i in order]
 
 
 def reference_member(space, x, cap, mat) -> bool:
@@ -846,6 +876,23 @@ def test_round_trips_and_escapes_match_the_sample_loop(case, data):
     if witness[0] == "value" and witness[1] is not None:
         witness = ("value", witness[1].points[0])
     assert witness == outcome(reference_escape, ws, space, cap)
+
+
+def test_a_round_trip_walks_no_further_than_its_first_failing_sample(monkeypatch):
+    # x -> x + 100 on the integers, with a declared inverse that steps back
+    # only 99: every image lies past the window, so each inverse image is a
+    # walk of 99 predecessor steps, and the first sample already fails
+    integers = GapSequence(F(0), left=ConstantGaps(F(1)), right=ConstantGaps(F(1)))
+    space = SubspaceDescription((integers,))
+    forward = MapDescription(clauses=(AffinePiece(full_line(), F(1), F(100)),))
+    back = MapDescription(clauses=(IndexShift("*", -99),))
+    ws = collect_samples(forward, space, Window(F(0), F(10)), 200)
+    assert len(ws.point_samples) == 11
+    steps = []
+    monkeypatch.setattr(maps, "predecessor", lambda *a: steps.append(a) or predecessor(*a))
+    witness = _round_trip(ws, back, space, 200, "leaves", "undo")
+    assert (witness.points, witness.detail) == ((F(0),), "undo")
+    assert len(steps) == 99
 
 
 def as_outcome(image):
@@ -931,12 +978,12 @@ def test_member_and_shift_on_float_ties_match_the_references(cluster, extra, ste
     for x in filter(mat.window.contains, probes):
         assert mat.member(x) == reference_contains(space, x, cap)
         for i, comp in enumerate(space.components):
-            assert mat.member(x, i) == reference_component_contains(comp, x, cap)
+            assert indexed_member(mat, x, i) == reference_component_contains(comp, x, cap)
     for x in everything:
-        assert mat.shift(None, x, steps) == reference_shift(space, x, steps, cap)
+        assert indexed_shift(mat, None, x, steps) == reference_shift(space, x, steps, cap)
         i = 0 if x in cluster else 1
         scope = SubspaceDescription((space.components[i],))
-        assert mat.shift(i, x, steps) == reference_shift(scope, x, steps, cap)
+        assert indexed_shift(mat, i, x, steps) == reference_shift(scope, x, steps, cap)
 
 
 @pytest.mark.parametrize(
