@@ -298,7 +298,7 @@ def _matrix_payload(matrix) -> dict:
     return {
         "labels": list(matrix.labels),
         "kinds": list(matrix.kinds),
-        "rows": [[format_scalar(v) for v in row] for row in matrix.entries],
+        "rows": matrix.cells(),
     }
 
 

@@ -4,12 +4,25 @@ into an honest metric (detecting where it shrinks the original
 distances) or extend through a basepoint hub so the original distances
 survive untouched.
 
-The closure and the axiom check run on the table scaled to integers by L,
-the common denominator of its entries. Every closure entry and every
-triangle side is a sum of entries, and multiplying by L > 0 keeps sums,
-signs and order, so each int comparison decides exactly what the Fraction
-comparison would. Closed entries convert back, as Fraction(v, L), once at
-the end; report text is formatted from the original entries.
+Each DistanceMatrix holds one integer table, made once with the matrix:
+its entries times L, the common denominator of the entries (a table that
+the closure or the railway construction derives keeps the scale it was
+computed on). That one table serves every step after parsing: the
+zero-diagonal, symmetry and positivity checks of every matrix made
+(proposed, hub, closed and railway), both kernels, the axiom and the
+restriction reports, and the printed cells, each ``p/q`` taken from
+(v, L) with one gcd. Inner positions join it on M, a common multiple of
+L and their denominators: a position times M is an int, and an entry
+times M/L is the same distance on M.
+
+Every closure entry and every triangle side is a sum of entries, a
+railway entry is a line distance plus a hub entry, and a line distance
+is a difference of positions. Multiplying by a scale > 0 keeps sums,
+differences, signs and order, so each int comparison decides exactly
+what the Fraction comparison would, and v/L is the entry itself.
+Fractions are built only where the API or the text needs them: the
+public ``entries``, the values of a Shrinkage or a restriction mismatch,
+and the text of an error or an axiom violation.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Optional
 
@@ -53,43 +66,50 @@ class FiniteSpace:
         return abs(self.position(a) - self.position(b))
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric distance table over labeled points.
 
-    Symmetry, a zero diagonal and strict off-diagonal positivity are
-    enforced here; the triangle inequality is not, because proposed
-    tables are allowed to violate it (that is what the closure is for).
+    The table is held as ints: ``rows[i][j]`` is the distance times
+    ``scale``. Symmetry, a zero diagonal and strict off-diagonal
+    positivity are enforced on them when the matrix is made; the triangle
+    inequality is not, because proposed tables are allowed to violate it
+    (that is what the closure is for). ``entries``, the distances as
+    Fractions, is built on first use for a matrix made from ints.
     """
 
-    labels: tuple
-    kinds: tuple
-    entries: tuple
+    __slots__ = ("labels", "kinds", "rows", "scale", "_entries")
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if n == 0:
-            raise InvalidMatrix("empty matrix")
-        if n > MAX_POINTS:
-            raise CapExceeded(f"{n} points exceeds the limit of {MAX_POINTS}")
-        if len(set(self.labels)) != n:
-            raise InvalidMatrix("duplicate labels")
-        if len(self.kinds) != n or any(k not in (INNER, OUTER) for k in self.kinds):
-            raise InvalidMatrix("each label needs an inner/outer tag")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise InvalidMatrix("entries must form a square matrix over the labels")
-        for i in range(n):
-            if self.entries[i][i] != 0:
-                raise InvalidMatrix(f"nonzero diagonal at {self.labels[i]}")
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise InvalidMatrix(
-                        f"asymmetric pair ({self.labels[i]}, {self.labels[j]})"
-                    )
-                if self.entries[i][j] <= 0:
-                    raise InvalidMatrix(
-                        f"non-positive distance for ({self.labels[i]}, {self.labels[j]})"
-                    )
+    def __init__(self, labels: tuple, kinds: tuple, entries: tuple):
+        _check_shape(labels, kinds, entries)
+        scale = lcm(*(v.denominator for row in entries for v in row))
+        rows = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries)
+        _fill(self, labels, kinds, rows, scale, entries)
+
+    @classmethod
+    def scaled(cls, labels: tuple, kinds: tuple, rows: tuple, scale: int) -> "DistanceMatrix":
+        """The matrix with entries ``rows[i][j] / scale``, checked like one made from entries."""
+        _check_shape(labels, kinds, rows)
+        m = cls.__new__(cls)
+        _fill(m, labels, kinds, rows, scale, None)
+        return m
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            s = self.scale
+            self._entries = tuple(tuple(Fraction(v, s) for v in row) for row in self.rows)
+        return self._entries
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DistanceMatrix):
+            return NotImplemented
+        return (self.labels, self.kinds, self.entries) == (other.labels, other.kinds, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.kinds, self.entries))
+
+    def __repr__(self) -> str:
+        return f"DistanceMatrix(labels={self.labels!r}, kinds={self.kinds!r}, entries={self.entries!r})"
 
     def index(self, label: str) -> int:
         try:
@@ -100,24 +120,64 @@ class DistanceMatrix:
     def value(self, a: str, b: str) -> Scalar:
         return self.entries[self.index(a)][self.index(b)]
 
+    def cells(self) -> list:
+        """Each entry printed as ``format_scalar`` prints it, row by row."""
+        s = self.scale
+        return [[_ratio(v, s) for v in row] for row in self.rows]
+
     def render(self) -> str:
         width = max(len(l) for l in self.labels) + 1
         head = " " * width + " ".join(f"{l:>8s}" for l in self.labels)
         rows = [head]
-        for i, l in enumerate(self.labels):
-            cells = " ".join(f"{format_scalar(v):>8s}" for v in self.entries[i])
-            rows.append(f"{l:<{width}s}{cells}")
+        for l, cells in zip(self.labels, self.cells()):
+            rows.append(f"{l:<{width}s}" + " ".join(f"{c:>8s}" for c in cells))
         return "\n".join(rows)
+
+
+def _check_shape(labels: tuple, kinds: tuple, table: tuple) -> None:
+    n = len(labels)
+    if n == 0:
+        raise InvalidMatrix("empty matrix")
+    if n > MAX_POINTS:
+        raise CapExceeded(f"{n} points exceeds the limit of {MAX_POINTS}")
+    if len(set(labels)) != n:
+        raise InvalidMatrix("duplicate labels")
+    if len(kinds) != n or any(k not in (INNER, OUTER) for k in kinds):
+        raise InvalidMatrix("each label needs an inner/outer tag")
+    if len(table) != n or any(len(row) != n for row in table):
+        raise InvalidMatrix("entries must form a square matrix over the labels")
+
+
+def _fill(m: DistanceMatrix, labels, kinds, rows, scale: int, entries) -> None:
+    """Check the int table's diagonal, symmetry and positivity, then set
+    the matrix's fields."""
+    n = len(labels)
+    for i, row in enumerate(rows):
+        if row[i]:
+            raise InvalidMatrix(f"nonzero diagonal at {labels[i]}")
+        for j in range(i + 1, n):
+            if row[j] != rows[j][i]:
+                raise InvalidMatrix(f"asymmetric pair ({labels[i]}, {labels[j]})")
+            if row[j] <= 0:
+                raise InvalidMatrix(f"non-positive distance for ({labels[i]}, {labels[j]})")
+    m.labels, m.kinds, m.rows, m.scale, m._entries = labels, kinds, rows, scale, entries
+
+
+def _ratio(v: int, scale: int) -> str:
+    """v/scale as ``format_scalar`` prints the Fraction: one gcd."""
+    g = gcd(v, scale)
+    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
 
 
 def matrix_from_pairs(labels, kinds, pairs) -> DistanceMatrix:
     """Build a DistanceMatrix from {frozenset({a, b}): value} style pairs."""
     n = len(labels)
     idx = {l: i for i, l in enumerate(labels)}
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    scale = lcm(*(v.denominator for v in pairs.values()))
+    grid = [[0] * n for _ in range(n)]
     for (a, b), v in pairs.items():
         i, j = idx[a], idx[b]
-        grid[i][j] = grid[j][i] = v
+        grid[i][j] = grid[j][i] = v.numerator * (scale // v.denominator)
     missing = [
         (labels[i], labels[j])
         for i in range(n)
@@ -126,7 +186,7 @@ def matrix_from_pairs(labels, kinds, pairs) -> DistanceMatrix:
     ]
     if missing:
         raise InvalidMatrix(f"missing distance for {missing[0]}")
-    return DistanceMatrix(tuple(labels), tuple(kinds), tuple(tuple(r) for r in grid))
+    return DistanceMatrix.scaled(tuple(labels), tuple(kinds), tuple(map(tuple, grid)), scale)
 
 
 @dataclass(frozen=True)
@@ -148,32 +208,40 @@ class AugmentedSpace:
             raise InvalidMatrix("proposed matrix labels must cover inner and outer points")
         if len(want) != len(self.inner.labels) + len(self.outer):
             raise InvalidMatrix("inner and outer labels overlap")
-        for a, b, i, j, expect in _inner_pairs(self.inner, self.proposed):
-            got = self.proposed.entries[i][j]
-            if got != expect:
-                raise InvalidMatrix(
-                    f"proposed distance for inner pair ({a}, {b}) is "
-                    f"{format_scalar(got)}, the line gives {format_scalar(expect)}"
-                )
+        for a, b, line, got in _line_mismatches(self.inner, self.proposed):
+            raise InvalidMatrix(
+                f"proposed distance for inner pair ({a}, {b}) is "
+                f"{format_scalar(got)}, the line gives {format_scalar(line)}"
+            )
         if self.basepoint is not None and self.basepoint not in self.inner.labels:
             raise InvalidMatrix(f"basepoint {self.basepoint!r} is not an inner label")
 
 
-def _inner_pairs(inner: FiniteSpace, m: DistanceMatrix):
-    """(a, b, i, j, line distance) for every inner pair in ``combinations``
-    order, with i and j the indices of a and b in ``m``. Each label is
-    looked up once; the first inner label ``m`` lacks raises."""
+def _on_scale(positions: tuple, scale: int) -> tuple:
+    """(ints, M): the positions times M, the lcm of ``scale`` and their denominators."""
+    common = lcm(scale, *(p.denominator for p in positions))
+    return [p.numerator * (common // p.denominator) for p in positions], common
+
+
+def _inner_at(inner: FiniteSpace, m: DistanceMatrix) -> list:
+    """(label, index in ``m``) of each inner label; the first one ``m``
+    lacks raises."""
+    return [(l, m.index(l)) for l in inner.labels]
+
+
+def _line_mismatches(inner: FiniteSpace, m: DistanceMatrix):
+    """(a, b, line distance, entry) for each inner pair, in
+    ``combinations`` order, whose entry in ``m`` is not its line distance.
+    Each label is looked up once, and none for a single inner label."""
     if len(inner.labels) < 2:
         return
-    at = [m.index(l) for l in inner.labels]
-    for (a, p, i), (b, q, j) in combinations(zip(inner.labels, inner.positions, at), 2):
-        yield a, b, i, j, abs(p - q)
-
-
-def _scaled(entries: tuple) -> tuple:
-    """(int rows, L): the entries times L, their common denominator."""
-    scale = lcm(*(v.denominator for row in entries for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in entries], scale
+    at = _inner_at(inner, m)
+    pos, common = _on_scale(inner.positions, m.scale)
+    lift, rows = common // m.scale, m.rows
+    for ((a, i), p), ((b, j), q) in combinations(zip(at, pos), 2):
+        line = abs(p - q)
+        if rows[i][j] * lift != line:
+            yield a, b, Fraction(line, common), Fraction(rows[i][j], m.scale)
 
 
 # ===================================================================
@@ -225,7 +293,7 @@ def path_infimum_metric(aug: AugmentedSpace) -> ClosureResult:
     """
     m = aug.proposed
     n = len(m.labels)
-    dist, scale = _scaled(m.entries)
+    dist = [list(row) for row in m.rows]
     nxt = [list(range(n)) for _ in range(n)]
     for k in range(n):
         row_k = dist[k]
@@ -238,7 +306,6 @@ def path_infimum_metric(aug: AugmentedSpace) -> ClosureResult:
                 if alt < row_i[j]:
                     row_i[j] = alt
                     nxt_i[j] = nxt_i[k]
-    closed = tuple(tuple(Fraction(v, scale) for v in row) for row in dist)
 
     def chain(i: int, j: int) -> tuple:
         path = [i]
@@ -246,13 +313,17 @@ def path_infimum_metric(aug: AugmentedSpace) -> ClosureResult:
             path.append(nxt[path[-1]][j])
         return tuple(m.labels[p] for p in path)
 
+    # the proposed entry of an inner pair is its line distance
     shrunk = []
-    for a, b, i, j, original in _inner_pairs(aug.inner, m):
-        if closed[i][j] < original:
-            shrunk.append(Shrinkage((a, b), original, closed[i][j], chain(i, j)))
-    return ClosureResult(
-        matrix=DistanceMatrix(m.labels, m.kinds, closed), shrinkage=tuple(shrunk)
-    )
+    for (a, i), (b, j) in combinations(_inner_at(aug.inner, m), 2):
+        if dist[i][j] < m.rows[i][j]:
+            shrunk.append(
+                Shrinkage(
+                    (a, b), Fraction(m.rows[i][j], m.scale), Fraction(dist[i][j], m.scale), chain(i, j)
+                )
+            )
+    closed = DistanceMatrix.scaled(m.labels, m.kinds, tuple(map(tuple, dist)), m.scale)
+    return ClosureResult(matrix=closed, shrinkage=tuple(shrunk))
 
 
 # ===================================================================
@@ -263,12 +334,10 @@ def path_infimum_metric(aug: AugmentedSpace) -> ClosureResult:
 def discrete_metric(labels, kinds=None) -> DistanceMatrix:
     """All distances one; the default hub metric for the outer points."""
     n = len(labels)
-    entries = tuple(
-        tuple(Fraction(0) if i == j else Fraction(1) for j in range(n)) for i in range(n)
-    )
+    rows = tuple(tuple(int(i != j) for j in range(n)) for i in range(n))
     if kinds is None:
         kinds = tuple(OUTER for _ in labels)
-    return DistanceMatrix(tuple(labels), tuple(kinds), entries)
+    return DistanceMatrix.scaled(tuple(labels), tuple(kinds), rows, 1)
 
 
 def railway_extension(
@@ -302,22 +371,25 @@ def railway_extension(
     labels = aug.inner.labels + tuple(aug.outer)
     kinds = tuple(INNER for _ in aug.inner.labels) + tuple(OUTER for _ in aug.outer)
     is_outer = {l: (l in aug.outer) for l in labels}
-    position = dict(zip(aug.inner.labels, aug.inner.positions))
+    # positions and hub entries on one scale M: hub entries times M/H
+    ints, scale = _on_scale(aug.inner.positions, outer_metric.scale)
+    position = dict(zip(aug.inner.labels, ints))
+    lift = scale // outer_metric.scale
     hub = {l: dict(zip(outer_metric.labels, row))
-           for l, row in zip(outer_metric.labels, outer_metric.entries)}
+           for l, row in zip(outer_metric.labels, outer_metric.rows)}
 
-    def d(a: str, b: str) -> Scalar:
+    def d(a: str, b: str) -> int:
         if a == b:
-            return Fraction(0)
+            return 0
         if not is_outer[a] and not is_outer[b]:
             return abs(position[a] - position[b])
         if is_outer[a] and is_outer[b]:
-            return hub[a][b]
+            return hub[a][b] * lift
         x, p = (a, b) if is_outer[b] else (b, a)
-        return abs(position[x] - position[x0]) + hub[x0][p]
+        return abs(position[x] - position[x0]) + hub[x0][p] * lift
 
-    entries = tuple(tuple(d(a, b) for b in labels) for a in labels)
-    return DistanceMatrix(labels, kinds, entries)
+    rows = tuple(tuple(d(a, b) for b in labels) for a in labels)
+    return DistanceMatrix.scaled(labels, kinds, rows, scale)
 
 
 # ===================================================================
@@ -347,41 +419,16 @@ class AxiomReport:
 
 
 def check_metric_axioms(m: DistanceMatrix) -> AxiomReport:
-    """Verify non-degeneracy, positivity, symmetry and every triangle."""
+    """Verify every triangle. Non-degeneracy, positivity and symmetry hold
+    already: every DistanceMatrix is checked for them when it is made."""
     bad = []
     n = len(m.labels)
-    rows, _ = _scaled(m.entries)
-    for i in range(n):
-        if rows[i][i] != 0:
-            bad.append(
-                AxiomViolation(
-                    "non-degeneracy",
-                    (m.labels[i],),
-                    f"self-distance {format_scalar(m.entries[i][i])}",
-                )
-            )
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                bad.append(
-                    AxiomViolation(
-                        "symmetry",
-                        (m.labels[i], m.labels[j]),
-                        f"{format_scalar(m.entries[i][j])} vs {format_scalar(m.entries[j][i])}",
-                    )
-                )
-            if rows[i][j] <= 0:
-                bad.append(
-                    AxiomViolation(
-                        "positivity",
-                        (m.labels[i], m.labels[j]),
-                        format_scalar(m.entries[i][j]),
-                    )
-                )
-    cols = [list(col) for col in zip(*rows)]
+    rows, scale = m.rows, m.scale
     for i in range(n):
         row_i = rows[i]
         for j in range(i + 1, n):
-            lhs, col_j = row_i[j], cols[j]
+            # the table is symmetric, so row j is column j
+            lhs, col_j = row_i[j], rows[j]
             # the minimum over every k is at most the one over k not in (i, j)
             if lhs <= min(map(add, row_i, col_j)):
                 continue
@@ -393,8 +440,8 @@ def check_metric_axioms(m: DistanceMatrix) -> AxiomReport:
                         AxiomViolation(
                             "triangle",
                             (m.labels[i], m.labels[k], m.labels[j]),
-                            f"{format_scalar(m.entries[i][j])} > {format_scalar(m.entries[i][k])} "
-                            f"+ {format_scalar(m.entries[k][j])}",
+                            f"{_ratio(lhs, scale)} > {_ratio(row_i[k], scale)} "
+                            f"+ {_ratio(col_j[k], scale)}",
                         )
                     )
     return AxiomReport(passed=not bad, violations=tuple(bad))
@@ -418,9 +465,5 @@ class RestrictionReport:
 
 def check_restriction(m: DistanceMatrix, inner: FiniteSpace) -> RestrictionReport:
     """Pass iff the matrix reproduces the inner line distances exactly."""
-    bad = []
-    for a, b, i, j, want in _inner_pairs(inner, m):
-        got = m.entries[i][j]
-        if got != want:
-            bad.append((a, b, want, got))
-    return RestrictionReport(passed=not bad, mismatches=tuple(bad))
+    bad = tuple(_line_mismatches(inner, m))
+    return RestrictionReport(passed=not bad, mismatches=bad)

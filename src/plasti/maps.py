@@ -694,9 +694,10 @@ def _value_outside(
         pieces = [ivl for comp in space.components for ivl in intervals_near(comp, y)]
         if y > lo and not any(ivl.contains(y) for ivl in pieces) and not contains(space, y, cap):
             return y
-        ahead = [ivl.hi.value for ivl in pieces if ivl.lo.value <= y < ivl.hi.value]
-        if ahead:
-            y = max(ahead)  # covered up to there
+        # components, and the periods of a family, are disjoint: at most one piece runs on from y
+        ahead = next((ivl.hi.value for ivl in pieces if ivl.lo.value <= y < ivl.hi.value), None)
+        if ahead is not None:
+            y = ahead  # covered up to there
             continue
         end = min([ivl.lo.value for ivl in pieces if y < ivl.lo.value < hi], default=hi)
         found = _value_between_points(space, y, end, cap)
@@ -1004,8 +1005,9 @@ def _collision(ws: WindowSamples) -> Optional[Witness]:
         for span in ws.spans:
             va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
             if min(va, vb) < s.value < max(va, vb):
+                # the piece is affine, so x lies strictly inside the span
                 x = (s.value - span.piece.intercept) / span.piece.slope
-                if span.lo < x < span.hi and x != s.x:
+                if x != s.x:
                     return Witness((s.x, x), (s.value, s.value), "point image hit by a piece interior")
     return None
 

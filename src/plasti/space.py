@@ -314,7 +314,10 @@ class AffineGaps(_Atom):
         return self.slope * n + self.offset
 
     def partial(self, n: int) -> Scalar:
-        return self.slope * Fraction(n * (n + 1), 2) + self.offset * n
+        """S(n) in integer arithmetic, as in ``side_points``."""
+        sp, sq = self.slope.numerator, self.slope.denominator
+        op, oq = self.offset.numerator, self.offset.denominator
+        return Fraction(sp * oq * n * (n + 1) + 2 * op * sq * n, 2 * sq * oq)
 
     def partial_floor(self, offset: Scalar) -> int:
         if self.slope == 0:
@@ -586,6 +589,10 @@ class ExplicitGaps:
     @property
     def total(self) -> Scalar:
         return self.sums[-1]
+
+    def partial(self, n: int) -> Scalar:
+        """S(n), for 1 <= n <= len(values)."""
+        return self.sums[n - 1]
 
     def __str__(self):
         return "explicit(" + ",".join(format_scalar(v) for v in self.values) + ")"
@@ -1052,19 +1059,21 @@ def _side_stops(
     sums, and any other rule by walking it gap by gap for at most ``cap``
     steps. Explicit and closed-sum sides answer without the cap and build
     only the members asked for, so adjacency and listing on them cost the
-    same at any offset; membership (``_side_member``) reads such a side by
-    the same counts and compares a partial sum, building no member. The
-    bound must lie below the total of a convergent side.
+    same at any offset; membership and adjacency (``_side_member``,
+    ``_component_next``) read such a side by the same counts and one
+    partial sum, building no member list. The bound must lie below the
+    total of a convergent side.
     """
     if program.finite:
         sums = program.sums
-        count = _locate(sums, program.sum_keys, bound)
-        count += not strict and count < len(sums) and sums[count] == bound
         step = operator.add if sign > 0 else operator.sub
-        return _Stops(count, lambda first, last: [step(anchor, s) for s in sums[first - 1 : last]])
+        return _Stops(
+            _sum_count(program, bound, strict),
+            lambda first, last: [step(anchor, s) for s in sums[first - 1 : last]],
+        )
     if program.closed_sums:
         return _Stops(
-            _max_n_with_sum_below(program, bound, strict),
+            _sum_count(program, bound, strict),
             lambda first, last: program.side_points(anchor, sign, first, last),
         )
     walked: list = []
@@ -1081,6 +1090,16 @@ def _side_stops(
             count = n - 1
             break
     return _Stops(count, lambda first, last: walked[first - 1 : last])
+
+
+def _sum_count(program: GapProgram, bound: Scalar, strict: bool) -> int:
+    """How many partial sums of an explicit or closed-sum side lie below
+    the bound (at or below it, when not strict)."""
+    if program.finite:
+        sums = program.sums
+        count = _locate(sums, program.sum_keys, bound)
+        return count + (not strict and count < len(sums) and sums[count] == bound)
+    return _max_n_with_sum_below(program, bound, strict)
 
 
 # ===================================================================
@@ -1520,19 +1539,27 @@ def _component_next(comp: Component, x: Scalar, cap: int, toward: int):
     for program, sign in ((comp.right, 1), (comp.left, -1))[::toward]:
         if program is None:
             continue
-        offset = sign * (x - comp.anchor)
+        offset = x - comp.anchor if sign > 0 else comp.anchor - x
         outward = sign == toward  # looking away from the anchor
         if program.converges and offset >= program.total:
             if not outward:
                 # every member of the side lies beyond x, crowding to its limit
                 blocking = comp.anchor + sign * program.total
             continue
-        stops = _side_stops(comp.anchor, program, sign, offset, not outward, cap)
-        if stops.count is None:
-            search = "successor" if toward > 0 else "predecessor"
-            raise RuleDivergence(f"{search} search for {format_scalar(x)} exceeded {cap} steps")
-        n = stops.count + 1 if outward else stops.count
-        cand = stops.point(n) if n else None
+        if program.finite or program.closed_sums:
+            # the n-th member from the anchor is anchor + sign*S(n)
+            n = _sum_count(program, offset, not outward) + outward
+            if not n or program.finite and n > len(program.sums):
+                continue
+            gap_sum = program.partial(n)
+            cand = comp.anchor + gap_sum if sign > 0 else comp.anchor - gap_sum
+        else:
+            stops = _side_stops(comp.anchor, program, sign, offset, not outward, cap)
+            if stops.count is None:
+                search = "successor" if toward > 0 else "predecessor"
+                raise RuleDivergence(f"{search} search for {format_scalar(x)} exceeded {cap} steps")
+            n = stops.count + 1 if outward else stops.count
+            cand = stops.point(n) if n else None
         if cand is not None and (best is None or nearer(cand, best)):
             best = cand
     return best, blocking

@@ -375,6 +375,19 @@ def test_extend_json_payload(files, capsys):
     assert payload["shrinkage"][0]["chain"] == ["a", "p", "b"]
 
 
+EXTEND_GOLDEN = Path(__file__).parent / "golden" / "extend"
+
+
+@pytest.mark.parametrize("mode", ["paths", "railway"])
+@pytest.mark.parametrize("suffix", ["txt", "json"])
+def test_extend_matches_the_golden_output(mode, suffix, capsys):
+    # paths.dm shrinks every inner pair, one of them through a four-hop
+    # chain; railway.dm puts the inner positions on denominators 3, 4 and 7
+    argv = ["extend", str(EXTEND_GOLDEN / f"{mode}.dm"), "--mode", mode]
+    assert main(argv + (["--json"] if suffix == "json" else [])) == 0
+    assert capsys.readouterr().out.encode() == (EXTEND_GOLDEN / f"{mode}.{suffix}").read_bytes()
+
+
 # -------------------------------------------------------------------
 # shared failure shapes
 # -------------------------------------------------------------------

@@ -456,6 +456,69 @@ def test_pair_witness_nudges_each_limit_into_its_own_span():
     assert report.witness.render() == "pair moves apart (15/16, 17/16 -> 15/16, 37/80)"
 
 
+def test_first_pair_moving_apart_looks_back_past_a_later_row():
+    # (1, 2) is the first pair to move apart as j rises, but (0, 3), found
+    # at j = 3, comes before it in pair order
+    samples = tuple(Sample(F(x), v, True) for x, v in ((0, F(0)), (1, F(0)), (2, F(3, 2)), (3, F(7, 2))))
+    assert maps._first_pair_moving_apart(samples) == (0, 3)
+
+
+def test_first_between_violation_needs_a_strict_step_back():
+    # the third value ties the middle one, so only the fourth leaves the segment
+    assert maps._first_between_violation([F(0), F(2), F(2), F(1)]) == (0, 1, 3)
+    assert maps._first_between_violation([F(0), F(-2), F(-2), F(-1)]) == (0, 1, 3)
+    # a value equal to a later one breaks nothing
+    assert maps._first_between_violation([F(1), F(0), F(0)]) is None
+    assert maps._first_between_violation([F(-1), F(0), F(0)]) is None
+
+
+@pytest.mark.parametrize(
+    "end, ends",
+    [
+        # nudged by 1/16 of its span, the limit's value lands strictly inside the segment
+        (1, (F(0), F(19, 20))),
+        # ... or on its lower or its upper end
+        (0, (F(1, 16), F(1))),
+        (1, (F(0), F(15, 16))),
+    ],
+)
+def test_between_witness_nudges_a_limit_until_the_triple_breaks(end, ends):
+    # the limit of x -> x at an end of (0, 1) is the middle of a broken
+    # triple; only the nudge by 1/64 keeps it broken
+    span = maps.PieceSpan(affine(Interval.open(F(0), F(1)), 1, 0), F(0), F(1))
+    a, c = Sample(F(-1), ends[0], True), Sample(F(2), ends[1], True)
+    triple = (a, Sample(F(end), F(end), False, span), c)
+    witness = maps._member_witness(triple, "middle point leaves the image segment", maps._breaks_between)
+    x = F(1, 64) if end == 0 else F(63, 64)
+    assert witness.points == (F(-1), x, F(2))
+    assert witness.images == (ends[0], x, ends[1])
+    assert witness.detail == "middle point leaves the image segment"
+
+
+def test_a_point_image_at_an_open_end_of_a_piece_image_is_no_collision():
+    # (0, 1), open, maps onto (10, 11); the point 5 maps to a limit of that
+    # image, which no member of (0, 1) reaches, and then into its interior
+    span = Interval.open(F(0), F(1))
+    space = SubspaceDescription(components=(IntervalList((span,)), FinitePoints((F(5),))))
+
+    def collision(y):
+        desc = MapDescription(clauses=(affine(span, 1, 10), Table(((F(5), y),))))
+        return maps._collision(maps.collect_samples(desc, space, W))
+
+    assert collision(F(10)) is None
+    assert collision(F(11)) is None
+    assert collision(F(21, 2)).points == (F(5), F(1, 2))
+
+
+def test_bijection_compares_images_when_the_window_edges_are_the_space_bounds():
+    # the window is exactly [min, max] of the space, so every member is
+    # enumerated and no declared inverse is needed
+    swap = MapDescription(clauses=(Table(((F(0), F(1)), (F(1), F(0)), (F(2), F(2)))),))
+    report = check_bijection(swap, points(0, 1, 2), Window(F(0), F(2)))
+    assert report.passed
+    assert "finite space: image compared with the full point set" in report.notes
+
+
 # -------------------------------------------------------------------
 # Report texts: one minimal case per report branch
 # -------------------------------------------------------------------
