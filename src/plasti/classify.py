@@ -12,13 +12,13 @@ reported as window-consistent candidates, never as proof.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nlargest, nsmallest
 from itertools import compress
 from typing import Optional
 
 from .errors import MetadataUnvalidated, PlastiError
+from .frozen import frozen
 from .maps import (
     AffinePiece,
     IndexShift,
@@ -61,7 +61,7 @@ MAX_REFLECTION_CENTERS = 12
 SHIFT_RANGE = 5
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassifierStep:
     rule: str
     summary: str
@@ -69,7 +69,7 @@ class ClassifierStep:
     detail: str
 
 
-@dataclass(frozen=True)
+@frozen
 class FalsificationAttempt:
     name: str
     candidate: MapDescription
@@ -80,7 +80,7 @@ class FalsificationAttempt:
         return self.outcome == "window-consistent counterexample"
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
     outcome: str
     rule: Optional[str]
@@ -232,7 +232,7 @@ def glue_witness(
 # ===================================================================
 
 
-@dataclass
+@frozen
 class _Match:
     outcome: str
     reason: str
@@ -609,7 +609,7 @@ def classify(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class WitnessVerification:
     valid: bool
     reports: tuple

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -85,10 +85,45 @@ def _read(path: str) -> str:
         raise PlastiError(f"cannot read {path}: byte {err.start} is not UTF-8") from None
 
 
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, strs, ints, bools and None; any
+    other value raises TypeError. Given an ``indent``, ``json.dumps``
+    leaves its C encoder for the pure-Python one, so this indents by hand
+    and sends only the strings through the C escaper, a list of strings
+    in one ``map``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    join = ("," + inner).join
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = join([encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)])
+        return "{" + inner + body + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = join(map(encode_basestring_ascii, value))
+        except TypeError:  # not all strings
+            body = join([_json(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
     """Print the report in the mode asked for; only that mode's builder runs."""
     if args.json:
-        print(json.dumps(payload(), indent=2, sort_keys=True))
+        print(_json(payload()))
     else:
         print(text())
 

@@ -27,7 +27,6 @@ and the text of an error or an axiom violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -35,6 +34,7 @@ from operator import add
 from typing import Optional
 
 from .errors import CapExceeded, InvalidMatrix, OuterMetricInvalid
+from .frozen import frozen
 from .scalar import Scalar, format_scalar
 
 MAX_POINTS = 32
@@ -42,7 +42,7 @@ MAX_POINTS = 32
 INNER, OUTER = "inner", "outer"
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteSpace:
     """Labeled sample of the line; distances are the absolute differences."""
 
@@ -189,7 +189,7 @@ def matrix_from_pairs(labels, kinds, pairs) -> DistanceMatrix:
     return DistanceMatrix.scaled(tuple(labels), tuple(kinds), tuple(map(tuple, grid)), scale)
 
 
-@dataclass(frozen=True)
+@frozen
 class AugmentedSpace:
     """An inner line sample plus outer points with a proposed distance table.
 
@@ -249,7 +249,7 @@ def _line_mismatches(inner: FiniteSpace, m: DistanceMatrix):
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class Shrinkage:
     pair: tuple
     original: Scalar
@@ -264,7 +264,7 @@ class Shrinkage:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosureResult:
     matrix: DistanceMatrix
     shrinkage: tuple
@@ -397,7 +397,7 @@ def railway_extension(
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class AxiomViolation:
     axiom: str
     labels: tuple
@@ -407,7 +407,7 @@ class AxiomViolation:
         return f"{self.axiom} fails at ({', '.join(self.labels)}): {self.detail}"
 
 
-@dataclass(frozen=True)
+@frozen
 class AxiomReport:
     passed: bool
     violations: tuple
@@ -447,7 +447,7 @@ def check_metric_axioms(m: DistanceMatrix) -> AxiomReport:
     return AxiomReport(passed=not bad, violations=tuple(bad))
 
 
-@dataclass(frozen=True)
+@frozen
 class RestrictionReport:
     passed: bool
     mismatches: tuple

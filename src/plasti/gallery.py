@@ -10,7 +10,6 @@ regression instances and as showcases for how the modules combine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -26,6 +25,7 @@ from .classify import (
     verify_witness,
 )
 from .errors import UnknownGalleryId
+from .frozen import frozen
 from .maps import (
     AffinePiece,
     IndexShift,
@@ -75,13 +75,13 @@ from .space import (
 F = Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class Expectation:
     name: str
     run: Callable  # (entry) -> (passed: bool, detail: str)
 
 
-@dataclass(frozen=True)
+@frozen
 class GalleryEntry:
     id: str
     summary: str
@@ -97,7 +97,7 @@ class GalleryEntry:
         raise UnknownGalleryId(f"entry {self.id} has no map named {name!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class ExpectationResult:
     name: str
     passed: bool
@@ -107,7 +107,7 @@ class ExpectationResult:
         return f"[{'pass' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@frozen
 class EntryReport:
     entry_id: str
     results: tuple

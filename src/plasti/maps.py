@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
@@ -50,6 +49,7 @@ from .errors import (
     OutsideDomain,
     PlastiError,
 )
+from .frozen import frozen
 from .scalar import NEG_INF, POS_INF, Infinity, Scalar, format_scalar
 from .space import (
     DEFAULT_CAP,
@@ -80,7 +80,7 @@ MAX_PAIR_SAMPLES = 600
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class Table:
     """Finite relocation table; applies exactly to the listed arguments."""
 
@@ -98,7 +98,7 @@ class Table:
         raise MapError(f"{format_scalar(x)} not in table")
 
 
-@dataclass(frozen=True)
+@frozen
 class AffinePiece:
     """x -> slope*x + intercept on an interval domain."""
 
@@ -110,7 +110,7 @@ class AffinePiece:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
+@frozen
 class IndexShift:
     """Move k steps along the adjacency order of one component (or the
     whole space for component "*"). An optional interval restriction
@@ -128,7 +128,7 @@ class IndexShift:
 Clause = Union[Table, AffinePiece, IndexShift]
 
 
-@dataclass(frozen=True)
+@frozen
 class MapDescription:
     clauses: tuple
     inverse: Optional["MapDescription"] = None
@@ -414,7 +414,7 @@ def affine_image(piece: AffinePiece) -> Interval:
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class Sample:
     """A point with an image value.
 
@@ -431,7 +431,7 @@ class Sample:
     span: Optional[PieceSpan] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class PieceSpan:
     """Positive-length intersection of an affine piece with a fragment."""
 
@@ -448,7 +448,7 @@ class PieceSpan:
         return self.lo + self.width / 4, self.lo + self.width / 2
 
 
-@dataclass(frozen=True)
+@frozen
 class WindowSamples:
     materialization: Materialization
     point_samples: tuple  # members: isolated points, table keys, span cut points
@@ -569,7 +569,7 @@ def collect_samples(
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class Witness:
     points: tuple
     images: tuple
@@ -583,7 +583,7 @@ class Witness:
         return f"{self.detail} ({xs} -> {ys})"
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckReport:
     check: str
     passed: bool

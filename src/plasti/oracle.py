@@ -20,10 +20,10 @@ exact comparisons. Point counts stay capped as input limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
+from .frozen import frozen
 from .scalar import Scalar
 
 BIJECTION_CAP = 8
@@ -61,7 +61,7 @@ def nonexpansive_bijections(
     return _isometries(_check_points(points, cap, BIJECTION_HARD_CAP, "bijection search"))
 
 
-@dataclass(frozen=True)
+@frozen
 class PlasticVerdict:
     points: tuple
     bijections: int
@@ -85,7 +85,7 @@ def plastic_bruteforce(points: Sequence[Scalar], cap: int = BIJECTION_CAP) -> Pl
     return PlasticVerdict(points=pts, bijections=count, isometries=count)
 
 
-@dataclass(frozen=True)
+@frozen
 class StrongPlasticVerdict:
     points: tuple
     noncontracting: int

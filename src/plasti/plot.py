@@ -9,10 +9,10 @@ moment, so identical inputs always render byte-identical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .frozen import frozen
 from .maps import MapDescription, collect_samples
 from .scalar import Scalar, format_scalar
 from .space import DEFAULT_CAP, SubspaceDescription, Window, materialize
@@ -24,7 +24,7 @@ PRODUCT_GREY = "#808080"
 PRODUCT_OPACITY = "0.25"
 
 
-@dataclass(frozen=True)
+@frozen
 class ProductCell:
     """One component-pair region of the self-product, window-clipped.
 
@@ -48,13 +48,13 @@ class ProductCell:
         return "rect"
 
 
-@dataclass(frozen=True)
+@frozen
 class GraphDot:
     x: Scalar
     y: Scalar
 
 
-@dataclass(frozen=True)
+@frozen
 class GraphSegment:
     """The map over one affine stretch of one interval fragment."""
 
@@ -65,7 +65,7 @@ class GraphSegment:
     slope: Scalar
 
 
-@dataclass(frozen=True)
+@frozen
 class Jump:
     """A discontinuity between consecutive graph segments: the images sit
     further apart than the left segment's slope could carry across the
@@ -84,7 +84,7 @@ class Jump:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class PlotData:
     window: Window
     product: tuple

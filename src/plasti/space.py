@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import operator
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -31,6 +30,7 @@ from .errors import (
     SpaceError,
     WindowTooSmall,
 )
+from .frozen import frozen
 from .scalar import (
     NEG_INF,
     POS_INF,
@@ -58,7 +58,7 @@ Multiplicity = Union[int, float]  # a count, or INFINITE
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class Endpoint:
     value: ExtendedScalar
     closed: bool
@@ -71,7 +71,7 @@ class Endpoint:
         return f"{format_scalar(self.value)}{'#' if self.closed else ''}"
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """An interval of the line with exact endpoint topology."""
 
@@ -145,7 +145,7 @@ class Interval:
         return f"{lo_b}{format_scalar(self.lo.value)},{format_scalar(self.hi.value)}{hi_b}"
 
 
-@dataclass(frozen=True)
+@frozen
 class Window:
     lo: Scalar
     hi: Scalar
@@ -255,7 +255,7 @@ class _Atom:
         return frozenset((self.gap(1),)) if self.trend == 0 else None
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstantGaps(_Atom):
     value: Scalar
 
@@ -293,7 +293,7 @@ class ConstantGaps(_Atom):
         return f"const({format_scalar(self.value)})"
 
 
-@dataclass(frozen=True)
+@frozen
 class AffineGaps(_Atom):
     """gap(n) = slope*n + offset, strictly positive for every n >= 1."""
 
@@ -358,7 +358,7 @@ class AffineGaps(_Atom):
         return f"affine({format_scalar(self.slope)}n+{format_scalar(self.offset)})"
 
 
-@dataclass(frozen=True)
+@frozen
 class ReciprocalGaps(_Atom):
     """gap(n) = 1/(n + shift); decreasing, divergent partial sums."""
 
@@ -388,7 +388,7 @@ class ReciprocalGaps(_Atom):
         return f"recip(n+{format_scalar(self.shift)})"
 
 
-@dataclass(frozen=True)
+@frozen
 class TelescopingGaps(_Atom):
     """gap(n) = 1/((n+shift)(n+shift+1)); partial sums telescope to 1/(shift+1).
 
@@ -452,7 +452,7 @@ class TelescopingGaps(_Atom):
         return f"recipdiff(n+{format_scalar(self.shift)})"
 
 
-@dataclass(frozen=True)
+@frozen
 class AlternatingGaps:
     """Cyclic interleave: gap(n) = atoms[(n-1) % k].gap(1 + (n-1)//k)."""
 
@@ -560,7 +560,7 @@ class AlternatingGaps:
         return "alt(" + ",".join(str(a) for a in self.atoms) + ")"
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitGaps:
     """A finite side given by its gap list; the side ends after the list."""
 
@@ -758,7 +758,7 @@ OPEN, CLOSED, LEFT_CLOSED, RIGHT_CLOSED = "open", "closed", "left-closed", "righ
 _TOPOLOGIES = (OPEN, CLOSED, LEFT_CLOSED, RIGHT_CLOSED)
 
 
-@dataclass(frozen=True)
+@frozen
 class GapSequence:
     """Anchor point with gap-rule sides walking left and/or right; with no
     side it is the anchor alone."""
@@ -793,7 +793,7 @@ def ArithmeticProgression(anchor: Scalar, step: Scalar, direction: str) -> GapSe
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodicIntervals:
     length: Scalar
     gap: Scalar
@@ -825,7 +825,7 @@ class PeriodicIntervals:
         return Interval(Endpoint(lo, lo_closed), Endpoint(hi, hi_closed))
 
 
-@dataclass(frozen=True)
+@frozen
 class IntervalList:
     intervals: tuple
 
@@ -840,7 +840,7 @@ class IntervalList:
                 raise SpaceError("IntervalList entries must be sorted and disjoint")
 
 
-@dataclass(frozen=True)
+@frozen
 class HalfLine:
     endpoint: Endpoint
     direction: str  # the direction the line extends: left -> (-inf, e), right -> (e, +inf)
@@ -867,7 +867,7 @@ _INTERVAL_KINDS = (PeriodicIntervals, IntervalList, HalfLine)
 ATTAINED, UNATTAINED, UNBOUNDED = "attained", "unattained", "unbounded"
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundDecl:
     kind: str  # attained | unattained | unbounded
     value: Optional[Scalar] = None
@@ -881,7 +881,7 @@ class BoundDecl:
             raise SpaceError(f"{self.kind} declaration needs a value")
 
 
-@dataclass(frozen=True)
+@frozen
 class SubspaceDescription:
     components: tuple
     accumulation: Optional[tuple] = None  # None = undeclared; () = declared none
@@ -902,14 +902,14 @@ class SubspaceDescription:
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundInfo:
     bounded: bool
     value: Optional[Scalar] = None
     attained: Optional[bool] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class Bounds:
     below: BoundInfo
     above: BoundInfo
@@ -1023,7 +1023,7 @@ def hull(space: SubspaceDescription) -> Interval:
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class _Stops:
     """Where an offset bound falls on one side of a gap sequence.
 
@@ -1170,7 +1170,7 @@ def contains(space: SubspaceDescription, x: Scalar, cap: int = DEFAULT_CAP) -> b
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class Fragment:
     """A clipped interval piece of the space inside a window.
 
@@ -1214,7 +1214,7 @@ def _locate(points, keys, x) -> int:
     return bisect.bisect_left(points, x, bisect.bisect_left(keys, fx), bisect.bisect_right(keys, fx))
 
 
-@dataclass(frozen=True)
+@frozen
 class Materialization:
     """The points and clipped fragments of a space inside a window.
 
@@ -1244,8 +1244,13 @@ class Materialization:
     component_points: tuple  # per component: sorted Scalars, or None
     truncated_near: tuple = ()  # accumulation values where the cap hit
     truncation_zones: tuple = ()  # open intervals the enumeration left uncovered
-    # float keys per point tuple: None for ``points``, else the component index
-    _float_keys: dict = field(default_factory=dict, compare=False, repr=False)
+    # float keys per point tuple: None for ``points``, else the component
+    # index; a leading underscore keeps it out of ==, hash and repr
+    _float_keys: Optional[dict] = None
+
+    def __post_init__(self):
+        if self._float_keys is None:
+            object.__setattr__(self, "_float_keys", {})
 
     @property
     def truncated(self) -> bool:
@@ -1598,7 +1603,7 @@ def predecessor(space: SubspaceDescription, x: Scalar, cap: int = DEFAULT_CAP) -
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class GapSpectrum:
     """The distances between adjacent members, with multiplicities.
 
@@ -1621,7 +1626,7 @@ class GapSpectrum:
             raise SpaceError("spectrum gaps must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@frozen
 class SequenceView:
     """A discrete space flattened to one doubly-indexed point sequence.
 
@@ -1819,7 +1824,7 @@ def ball_census(
 # ===================================================================
 
 
-@dataclass(frozen=True)
+@frozen
 class MetaCheck:
     declaration: str
     passed: bool
@@ -1827,7 +1832,7 @@ class MetaCheck:
     witness: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class MetadataReport:
     window: Window
     checks: tuple

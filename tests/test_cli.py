@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,37 @@ def test_extend_matches_the_golden_output(mode, suffix, capsys):
     argv = ["extend", str(EXTEND_GOLDEN / f"{mode}.dm"), "--mode", mode]
     assert main(argv + (["--json"] if suffix == "json" else [])) == 0
     assert capsys.readouterr().out.encode() == (EXTEND_GOLDEN / f"{mode}.{suffix}").read_bytes()
+
+
+# text that needs escaping: quotes, backslashes, controls, non-ASCII, astral
+JSON_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é∞✓\U0001d11e'), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+def test_the_json_writer_prints_what_json_dumps_prints(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [[]], {"a": {}}, [{}, [], ""], {"z": 1, "a": [True, None, -0]},
+    ["plain", "é", " ", "tab\tand \"quote\""], [["1/2", "0"], ["0", "1/2"]],
+    {"rows": [["1", "2"], []], "empty": [[], {}], "mixed": ["a", 1, None, ["b"]]},
+    10 ** 30, "\ud800",
+])
+def test_the_json_writer_on_edge_shapes(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [Fraction(1, 2)]}, {1: "a"}, b"x"])
+def test_the_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 # -------------------------------------------------------------------
