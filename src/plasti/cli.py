@@ -43,7 +43,7 @@ from .oracle import (
 from .parser import parse_map, parse_matrix, parse_space, render_map
 from .plot import build_plot, render_svg
 from .scalar import format_scalar, parse_scalar
-from .space import DEFAULT_CAP, Window, materialize
+from .space import DEFAULT_CAP, DEFAULT_WINDOW, Window, materialize
 
 PASS, FAIL, ERROR = 0, 1, 2
 
@@ -392,7 +392,7 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, report=True):
-        p.add_argument("--window", type=_parse_window, default=Window(Fraction(-10), Fraction(10)),
+        p.add_argument("--window", type=_parse_window, default=DEFAULT_WINDOW,
                        help="verification window LO..HI (default -10..10)")
         p.add_argument("--cap", type=_parse_cap, default=DEFAULT_CAP,
                        help="enumeration cap (at least 1): the members a rule side lists "

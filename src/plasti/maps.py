@@ -203,8 +203,14 @@ def _eval_member(
 
 def _affine_images(piece: AffinePiece, xs):
     """The image of xs[i] under ``piece``, as a function of i, with the
-    values of ``piece.apply``. Unit slopes, the isometric pieces, are most
-    affine clauses; they skip the Fraction product."""
+    values of ``piece.apply``. Unit slopes, the isometric pieces, skip the
+    Fraction product, and they are most of the images evaluated: over one
+    pass of perfbench seed 5, 75% on ``windows`` (66% slope 1, 9% slope
+    -1) and 93% on ``gallery`` (91% slope -1, the reflection candidates).
+    A copy with ``slope * xs[i] + icpt`` alone ran ``windows`` at 683
+    jobs/s against 747 here (median of 6 alternating 6 s pairs, slower in
+    all 6) and ``gallery`` at 59.9 against 63.1 (4 pairs, slower in all
+    4), on a shared 2-vCPU Linux VM under Python 3.11.7."""
     slope, icpt = piece.slope, piece.intercept
     if slope == 1:
         return xs.__getitem__ if icpt == 0 else lambda i: xs[i] + icpt

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, floor, inf, isqrt
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     EmptyWindow,
@@ -179,9 +179,10 @@ DEFAULT_WINDOW = Window(Fraction(-10), Fraction(10))
 # attainment and multiplicity, monotonicity, convergence and total, and
 # finiteness. An atom's gap stream is monotone; the atom states its
 # direction (`trend`) and `_Atom` derives what follows from it. `alt`
-# combines the answers of its atoms. An `explicit` side is read from its
-# prefix sums by the side locator and unfolded into points wherever gap
-# facts are asked, so it states only its finiteness, prefix sums and total.
+# combines the answers of its atoms. An `explicit` side answers for its
+# prefix sums as a closed-sum rule does and is unfolded into points
+# wherever gap facts are asked, so it states only its finiteness, prefix
+# sums and total.
 
 
 def _as_index(n: Scalar) -> tuple:
@@ -568,6 +569,7 @@ class ExplicitGaps:
 
     finite = True
     converges = False
+    closed_sums = True
 
     def __post_init__(self):
         if not self.values:
@@ -594,6 +596,16 @@ class ExplicitGaps:
         """S(n), for 1 <= n <= len(values)."""
         return self.sums[n - 1]
 
+    def partial_floor(self, offset: Scalar) -> int:
+        """The largest n with S(n) <= offset; len(values) at or past the total."""
+        n = _locate(self.sums, self.sum_keys, offset)
+        return n + (n < len(self.sums) and self.sums[n] == offset)
+
+    def side_points(self, anchor: Scalar, sign: int, first: int, last: int) -> list:
+        """anchor + sign*S(n) for first <= n <= last, as far as the list goes."""
+        step = operator.add if sign > 0 else operator.sub
+        return [step(anchor, s) for s in self.sums[first - 1 : last]]
+
     def __str__(self):
         return "explicit(" + ",".join(format_scalar(v) for v in self.values) + ")"
 
@@ -609,11 +621,12 @@ def _max_n_with_sum_below(p: GapProgram, offset: Scalar, strict: bool) -> int:
     Partial sums S are strictly increasing from S(0) = 0, so an offset
     <= 0 gives 0; the caller must rule out the convergent case where every
     n qualifies (total at or below the offset). ``partial_floor`` answers
-    the non-strict question, in closed form for ``const``, ``affine`` and
-    ``recipdiff``, whose cost does not grow with the size of the offset;
-    the strict answer is one less when S hits the offset exactly, which
-    one partial sum settles. ``recip`` has no closed partial sums; its
-    sides are walked and never reach this function.
+    the non-strict question: in closed form for ``const``, ``affine`` and
+    ``recipdiff``, whose cost does not grow with the size of the offset,
+    and by bisecting the list of an explicit side, which stops at its
+    length. The strict answer is one less when S hits the offset exactly,
+    which one partial sum settles. A rule without closed sums reaches this
+    function as the explicit side that ``_walk`` lists.
     """
     if offset <= 0:
         return 0
@@ -1023,83 +1036,30 @@ def hull(space: SubspaceDescription) -> Interval:
 # ===================================================================
 
 
-@frozen
-class _Stops:
-    """Where an offset bound falls on one side of a gap sequence.
-
-    The side's members are anchor + sign*S(n) for n >= 1. ``count`` of them
-    lie below the bound (at or below it, when not strict), or None when a
-    walk took ``cap`` steps without passing it. ``points(first, last)``
-    lists the members first..last outward, as far as they are known: any
-    member of a closed-sum or explicit side, and the first count + 1 (or
-    ``cap``, when count is None) of a walked side.
-    """
-
-    count: Optional[int]
-    points: Callable[[int, int], list]
-
-    def point(self, n: int) -> Optional[Scalar]:
-        """The n-th member, or None past the end of the side."""
-        found = self.points(n, n)
-        return found[0] if found else None
+# Every side is read through ``_max_n_with_sum_below``, ``partial`` and
+# ``side_points``: a closed-sum rule in closed form at any distance from
+# its anchor, an explicit side from its list. A rule without closed sums
+# (``recip``, or an ``alt`` with a ``recip`` atom) is first walked out to
+# the offset asked about, and read as the explicit side that lists it.
 
 
-def _side_stops(
-    anchor: Scalar,
-    program: GapProgram,
-    sign: int,
-    bound: Scalar,
-    strict: bool,
-    cap: int,
-) -> _Stops:
-    """Count the members of one side out to an offset bound from its anchor.
-
-    The one place that decides how a side is read: an explicit list by
-    bisecting its prefix sums, a closed-sum rule by inverting its partial
-    sums, and any other rule by walking it gap by gap for at most ``cap``
-    steps. Explicit and closed-sum sides answer without the cap and build
-    only the members asked for, so adjacency and listing on them cost the
-    same at any offset; membership and adjacency (``_side_member``,
-    ``_component_next``) read such a side by the same counts and one
-    partial sum, building no member list. The bound must lie below the
-    total of a convergent side.
-    """
-    if program.finite:
-        sums = program.sums
-        step = operator.add if sign > 0 else operator.sub
-        return _Stops(
-            _sum_count(program, bound, strict),
-            lambda first, last: [step(anchor, s) for s in sums[first - 1 : last]],
-        )
-    if program.closed_sums:
-        return _Stops(
-            _sum_count(program, bound, strict),
-            lambda first, last: program.side_points(anchor, sign, first, last),
-        )
-    walked: list = []
-    pos, edge = anchor, anchor + sign * bound
-    if sign > 0:
-        step, past = operator.add, operator.ge if strict else operator.gt
-    else:
-        step, past = operator.sub, operator.le if strict else operator.lt
-    count = None
+def _walk(program: GapProgram, bound: Scalar, strict: bool, cap: int) -> Optional[ExplicitGaps]:
+    """The explicit side listing a rule's gaps out to the first partial
+    sum past the bound (at or past it, when strict), or None when ``cap``
+    steps do not get there. The walk's running sums are handed over as the
+    side's ``sums``."""
+    past = operator.ge if strict else operator.gt
+    gaps, sums, total = [], [], ZERO
     for n in range(1, cap + 1):
-        pos = step(pos, program.gap(n))
-        walked.append(pos)
-        if past(pos, edge):
-            count = n - 1
-            break
-    return _Stops(count, lambda first, last: walked[first - 1 : last])
-
-
-def _sum_count(program: GapProgram, bound: Scalar, strict: bool) -> int:
-    """How many partial sums of an explicit or closed-sum side lie below
-    the bound (at or below it, when not strict)."""
-    if program.finite:
-        sums = program.sums
-        count = _locate(sums, program.sum_keys, bound)
-        return count + (not strict and count < len(sums) and sums[count] == bound)
-    return _max_n_with_sum_below(program, bound, strict)
+        gap = program.gap(n)
+        total += gap
+        gaps.append(gap)
+        sums.append(total)
+        if past(total, bound):
+            side = ExplicitGaps(tuple(gaps))
+            object.__setattr__(side, "sums", tuple(sums))
+            return side
+    return None
 
 
 # ===================================================================
@@ -1108,26 +1068,19 @@ def _sum_count(program: GapProgram, bound: Scalar, strict: bool) -> int:
 
 
 def _side_member(anchor: Scalar, program: Optional[GapProgram], sign: int, x: Scalar, cap: int) -> bool:
-    """Is x a non-anchor member of the given side? Some partial sum must
-    equal x's offset from the anchor: an explicit or closed-sum side
-    compares the last one at or below the offset, a walked side the member
-    after those below it."""
+    """Is x a non-anchor member of the given side? The last partial sum at
+    or below x's offset from the anchor must equal it."""
     if program is None:
         return False
     offset = x - anchor if sign > 0 else anchor - x
-    if program.finite:
-        sums = program.sums
-        count = _locate(sums, program.sum_keys, offset)
-        return count < len(sums) and sums[count] == offset
     if program.converges and offset >= program.total:
         return False  # at or beyond the limit
-    if program.closed_sums:
-        count = _max_n_with_sum_below(program, offset, False)
-        return count > 0 and program.partial(count) == offset
-    stops = _side_stops(anchor, program, sign, offset, True, cap)
-    if stops.count is None:
-        raise RuleDivergence(f"membership test for {format_scalar(x)} exceeded {cap} steps")
-    return stops.point(stops.count + 1) == x
+    if not program.closed_sums:
+        program = _walk(program, offset, True, cap)
+        if program is None:
+            raise RuleDivergence(f"membership test for {format_scalar(x)} exceeded {cap} steps")
+    n = _max_n_with_sum_below(program, offset, False)
+    return n > 0 and program.partial(n) == offset
 
 
 def component_contains(comp: Component, x: Scalar, cap: int = DEFAULT_CAP) -> bool:
@@ -1360,32 +1313,29 @@ def _materialize_points(comp: GapSequence, window: Window, cap: int) -> tuple:
             return []
         near, far = (lo, hi) if sign > 0 else (hi, lo)
         bound = sign * (far - comp.anchor)
-        cut = False
+        listed = program
         if program.converges:
             limit = comp.anchor + sign * program.total
             if sign * (limit - near) <= 0:
                 return []  # the whole side lies short of the window
             reach = program.partial(cap)
-            cut = reach <= bound  # the cap-th member does not pass the far edge
-            bound = min(bound, reach)
-        stops = _side_stops(comp.anchor, program, sign, bound, False, cap)
-        if stops.count is None:
-            raise RuleDivergence(
-                f"gap rule {program} did not reach the edge {format_scalar(far)} in {cap} steps"
-            )
-        # the first member at or past the near edge; a rule side that holds
-        # more than cap members is refused, so only the last cap + 1 are searched
-        first = start = 1 if program.finite else max(stops.count - cap, 1)
-        if sign * (near - comp.anchor) > 0:
-            ahead = range(start, stops.count + 1)
-            first += bisect.bisect_left(ahead, sign * near, key=lambda n: sign * stops.point(n))
-        if not program.finite and stops.count - first >= cap:
+            if reach <= bound:  # the cap-th member does not pass the far edge
+                bound = reach
+                truncated.append(limit)
+                pos = comp.anchor + sign * reach
+                zones.append(Interval.open(limit, pos) if sign < 0 else Interval.open(pos, limit))
+        elif not program.closed_sums:
+            listed = _walk(program, bound, False, cap)
+            if listed is None:
+                raise RuleDivergence(
+                    f"gap rule {program} did not reach the edge {format_scalar(far)} in {cap} steps"
+                )
+        # members first..last lie in the window
+        last = _max_n_with_sum_below(listed, bound, False)
+        first = _max_n_with_sum_below(listed, sign * (near - comp.anchor), True) + 1
+        if not listed.finite and last - first >= cap:
             raise RuleDivergence(f"gap rule {program} puts more than {cap} points in {window}")
-        if cut:
-            truncated.append(limit)
-            pos = stops.point(cap)
-            zones.append(Interval.open(limit, pos) if sign < 0 else Interval.open(pos, limit))
-        return stops.points(first, stops.count)
+        return listed.side_points(comp.anchor, sign, first, last)
 
     right = side(comp.right, +1)
     left = side(comp.left, -1)
@@ -1551,21 +1501,18 @@ def _component_next(comp: Component, x: Scalar, cap: int, toward: int):
                 # every member of the side lies beyond x, crowding to its limit
                 blocking = comp.anchor + sign * program.total
             continue
-        if program.finite or program.closed_sums:
-            # the n-th member from the anchor is anchor + sign*S(n)
-            n = _sum_count(program, offset, not outward) + outward
-            if not n or program.finite and n > len(program.sums):
-                continue
-            gap_sum = program.partial(n)
-            cand = comp.anchor + gap_sum if sign > 0 else comp.anchor - gap_sum
-        else:
-            stops = _side_stops(comp.anchor, program, sign, offset, not outward, cap)
-            if stops.count is None:
+        if not program.closed_sums:
+            program = _walk(program, offset, not outward, cap)
+            if program is None:
                 search = "successor" if toward > 0 else "predecessor"
                 raise RuleDivergence(f"{search} search for {format_scalar(x)} exceeded {cap} steps")
-            n = stops.count + 1 if outward else stops.count
-            cand = stops.point(n) if n else None
-        if cand is not None and (best is None or nearer(cand, best)):
+        # the n-th member from the anchor is anchor + sign*S(n)
+        n = _max_n_with_sum_below(program, offset, not outward) + outward
+        if not n or program.finite and n > len(program.sums):
+            continue
+        gap_sum = program.partial(n)
+        cand = comp.anchor + gap_sum if sign > 0 else comp.anchor - gap_sum
+        if best is None or nearer(cand, best):
             best = cand
     return best, blocking
 

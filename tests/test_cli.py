@@ -21,6 +21,7 @@ from plasti.cli import main
 from plasti.extend import AxiomReport, DistanceMatrix, RestrictionReport, Shrinkage
 from plasti.maps import CheckReport
 from plasti.oracle import PlasticVerdict, StrongPlasticVerdict
+from plasti.space import DEFAULT_WINDOW
 
 
 INTEGERS = (
@@ -568,6 +569,11 @@ def test_a_reused_parser_answers_like_a_fresh_one(files):
         fresh.append(_call(argv))
     for argv, got, want in zip(sequence, reused, reversed(fresh)):
         assert got == want, argv
+
+
+def test_the_window_defaults_to_the_library_default():
+    args = cli._build_parser().parse_args(["classify", "--space", "s.sp"])
+    assert args.window is DEFAULT_WINDOW
 
 
 def test_the_second_call_builds_no_parser(monkeypatch, capsys):

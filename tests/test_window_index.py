@@ -1,12 +1,13 @@
-"""The window index and the side locator, against the code they replace.
+"""The window index and the side reader, against the code they replace.
 
-A materialization builds closed-sum sides (const, affine, recipdiff and
-alt of those) from the index range of their partial sums, decides
-membership inside its window and outside its truncation zones, and
-answers index shifts by stepping along its sorted points. Membership and
-adjacency on gap-sequence sides go through one locator. Each is compared
-here with a reference kept below: ``walked_side_points``, the per-step
-walk of a side; ``reference_side_member``, ``reference_next_above`` and
+A materialization lists every gap-sequence side by the index range of
+its partial sums in the window (a side with a recip atom is first walked
+out of the window), decides membership inside its window and outside its
+truncation zones, and answers index shifts by stepping along its sorted
+points. Membership and adjacency on gap-sequence sides read a side the
+same way. Each is compared here with a reference kept below:
+``walked_side_points``, the per-step walk of a side;
+``reference_side_member``, ``reference_next_above`` and
 ``reference_successor``, membership and the successor search with their
 own explicit, closed-sum and walked branches; and ``reference_predecessor``,
 the successor search on the mirror image ``mirrored(space)``, whose
@@ -314,6 +315,24 @@ def closed_sum_rules():
     return closed_sum_atoms() | alt
 
 
+def recip_rules():
+    shifts = st.fractions(min_value=F(-1, 2), max_value=2, max_denominator=3)
+    return shifts.map(ReciprocalGaps)
+
+
+@st.composite
+def any_rules(draw):
+    kind = draw(st.sampled_from(["closed", "recip", "alt", "explicit"]))
+    if kind == "closed":
+        return draw(closed_sum_atoms())
+    if kind == "recip":
+        return draw(recip_rules())
+    if kind == "alt":  # closed sums, or walked when an atom is recip
+        atoms = closed_sum_atoms() | recip_rules()
+        return AlternatingGaps((draw(atoms), draw(atoms)))
+    return ExplicitGaps(tuple(draw(st.lists(positive, min_size=1, max_size=4))))
+
+
 @st.composite
 def windows_near(draw, anchor):
     lo = anchor + draw(offsets)
@@ -321,10 +340,10 @@ def windows_near(draw, anchor):
 
 
 @st.composite
-def closed_sum_cases(draw):
+def side_cases(draw):
     anchor = draw(offsets)
-    left = draw(st.none() | closed_sum_rules())
-    right = draw(closed_sum_rules()) if left is None else draw(st.none() | closed_sum_rules())
+    left = draw(st.none() | any_rules())
+    right = draw(any_rules()) if left is None else draw(st.none() | any_rules())
     window, cap = draw(windows_near(anchor)), draw(st.integers(1, 40))
     return GapSequence(anchor, left=left, right=right), window, cap
 
@@ -343,19 +362,22 @@ WALK_LIMIT = 10**4
 
 def listed_side_points(comp: GapSequence, window: Window, cap: int) -> tuple:
     """walked_side_points with the cap read as the materialization reads
-    it: a convergent side is still cut after cap steps, but a divergent
-    side is walked out of the window, however far, and refused only when
-    more than cap of its members lie in the window."""
+    it: a convergent side is still cut after cap steps, and a side with a
+    recip atom must still leave the window within cap steps, but any other
+    divergent rule side is walked out of the window, however far, and
+    refused only when more than cap of its members lie in the window. An
+    explicit side is listed whole."""
     points, truncated, zones = [], [], []
     for name in ("right", "left"):
         program = getattr(comp, name)
         if program is None:
             continue
-        walk_cap = cap if program.converges else WALK_LIMIT
+        walked = not program.finite and not program.closed_sums
+        walk_cap = cap if program.converges or walked else WALK_LIMIT
         one_side = GapSequence(comp.anchor, **{name: program})
         side, cut, zone = walked_side_points(one_side, window, walk_cap)
         members = [p for p in side if p != comp.anchor]
-        if len(members) > cap:
+        if not program.finite and len(members) > cap:
             raise RuleDivergence(f"gap rule {program} puts more than {cap} points in {window}")
         points += members
         truncated += cut
@@ -365,17 +387,24 @@ def listed_side_points(comp: GapSequence, window: Window, cap: int) -> tuple:
     return tuple(sorted(points)), tuple(truncated), tuple(zones)
 
 
-@given(closed_sum_cases())
+@given(side_cases())
 @example((CONST_1, Window(F(-1), F(5)), 5))  # five members in the window, as many as the cap
 @example((CONST_1, Window(F(-1), F(5)), 6))  # one more step leaves the window
 @example((CONST_1, Window(F(2), F(5)), 2))  # four members in the window, more than the cap
 @example((TAIL, Window(F(0), F(10)), 30))  # truncated at the limit 1/4
 @example((TAIL, Window(F(1, 4), F(1, 3)), 30))  # the limit is the window edge
+# the limit 1 is the near window edge: nothing to list
+@example((GapSequence(F(0), right=TelescopingGaps(F(0))), Window(F(1), F(2)), 5))
 @example((TAIL, Window(F(1, 3), F(1)), 8))  # the walk leaves at the lower edge
 @example((TAIL, Window(F(1, 3), F(1)), 9))  # the cap hits at the lower edge
 @example((GapSequence(F(0), right=TelescopingGaps(F(1, 2))), Window(F(1, 2), F(1)), 20))
 @example((GapSequence(F(0), left=AffineGaps(F(1, 2), F(-1, 4))), Window(F(-7), F(-1)), 40))
-def test_closed_sum_sides_match_the_walk(case):
+# S(3) = 11/6 is the first partial sum of recip(n+0) past 3/2: 3 steps, not 2
+@example((GapSequence(F(0), right=ReciprocalGaps(F(0))), Window(F(-1), F(3, 2)), 3))
+@example((GapSequence(F(0), right=ReciprocalGaps(F(0))), Window(F(-1), F(3, 2)), 2))
+# an explicit side of 5 members, all in the window, under a cap of 2
+@example((GapSequence(F(1), left=ExplicitGaps((F(1, 2),) * 5)), Window(F(-3), F(1)), 2))
+def test_sides_match_the_walk(case):
     comp, window, cap = case
     assert outcome(_materialize_points, comp, window, cap) == outcome(
         listed_side_points, comp, window, cap
@@ -428,24 +457,6 @@ def test_a_far_window_is_reached_without_walking_to_it():
 # -------------------------------------------------------------------
 # Membership and index shifts on whole spaces
 # -------------------------------------------------------------------
-
-
-def recip_rules():
-    shifts = st.fractions(min_value=F(-1, 2), max_value=2, max_denominator=3)
-    return shifts.map(ReciprocalGaps)
-
-
-@st.composite
-def any_rules(draw):
-    kind = draw(st.sampled_from(["closed", "recip", "alt", "explicit"]))
-    if kind == "closed":
-        return draw(closed_sum_atoms())
-    if kind == "recip":
-        return draw(recip_rules())
-    if kind == "alt":  # closed sums, or walked when an atom is recip
-        atoms = closed_sum_atoms() | recip_rules()
-        return AlternatingGaps((draw(atoms), draw(atoms)))
-    return ExplicitGaps(tuple(draw(st.lists(positive, min_size=1, max_size=4))))
 
 
 @st.composite
@@ -532,6 +543,7 @@ def test_materialized_membership_on_interval_spaces():
 CLIMB = SubspaceDescription((GapSequence(F(0), right=TelescopingGaps(F(0))),))  # up to 1
 LONG = SubspaceDescription((GapSequence(F(0), right=ExplicitGaps((F(1),) * 8)),))
 ALT_FAR = GapSequence(F(0), right=AlternatingGaps((ConstantGaps(F(1)), AffineGaps(F(1), F(0)))))
+WALKED_TWO = SubspaceDescription((GapSequence(F(0), right=ReciprocalGaps(F(0))),))
 window_offsets = st.lists(st.fractions(min_value=-4, max_value=12, max_denominator=6), max_size=4)
 
 
@@ -547,6 +559,9 @@ window_offsets = st.lists(st.fractions(min_value=-4, max_value=12, max_denominat
     (SubspaceDescription((ALT_FAR,)), Window(F(501499), F(501503)), 5),
     [F(1), F(2), F(5, 2), F(1003)],
 )
+# recip(n+0) under a cap of 2: 3/2 = S(2) is a member and 1 its
+# predecessor, but the successor needs S(3), a third step
+@example((WALKED_TWO, Window(F(0), F(3)), 2), [F(1), F(3, 2)])
 def test_membership_and_adjacency_match_the_references(case, offsets):
     space, window, cap = case
     mat = materialized(space, window, cap)
