@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Callable, Optional
 
 from .classify import (
@@ -262,22 +263,27 @@ def _example1() -> GalleryEntry:
         return F(1, 4) + F(1, n)
 
     def case_inequalities(entry):
+        # Every value below is a multiple of 1/S, so the integers S*value
+        # keep sums and order exactly and the checks build no Fraction.
+        S = 4 * lcm(*range(1, 52))
+        inv = [0] + [S // k for k in range(1, 52)]  # inv[k] = S/k
+        quarter = inv[4]
         failures = []
         for a in range(1, 11):  # integers >= 1 map by a - 1, pure translation
-            if abs(F(a) - F(3, 2)) >= a:
+            if abs(a * S - 3 * inv[2]) >= a * S:
                 failures.append(f"minimum case at a={a}")
         for a in range(1, 11):
             for n in range(4, 51):
-                lhs = abs(F(a) - F(5, 4) - F(1, n + 1))
-                rhs = abs(F(a) - F(1, 4) - F(1, n))
+                lhs = abs(a * S - 5 * quarter - inv[n + 1])
+                rhs = abs(a * S - quarter - inv[n])
                 if lhs >= rhs:
                     failures.append(f"integer-tail case at a={a}, n={n}")
         for n in range(4, 51):
-            if abs(F(1, 4) - F(1, n + 1)) >= F(1, 4) + F(1, n):
+            if abs(quarter - inv[n + 1]) >= quarter + inv[n]:
                 failures.append(f"minimum-tail case at n={n}")
         for n in range(4, 51):
             for m in range(n + 1, 51):
-                if (F(1, n + 1) - F(1, m + 1)) >= (F(1, n) - F(1, m)):
+                if inv[n + 1] - inv[m + 1] >= inv[n] - inv[m]:
                     failures.append(f"tail pair case at n={n}, m={m}")
         if failures:
             return False, "; ".join(failures[:3])

@@ -12,12 +12,23 @@ within a piece the slope bound decides. Across samples, |x-z| = |x-y| +
 |y-z| for x < y < z lets one sweep over neighbours in sorted order decide
 every pair and every triple.
 
-A window is evaluated by runs (``_eval_members``). Each clause claims the
-sorted members it covers as index runs, found by bisecting float keys, so
-a member with zero or two claims shows at once. An index shift steps
-along the materialized points by index arithmetic; only a target beyond
-them is walked to member by member, and only when its image is asked for.
-``eval_map`` is the same code on one member, so the two cannot disagree.
+A map is evaluated by runs (``_Images``). Each clause claims the sorted
+members it covers as index runs, found by bisecting float keys, so a
+member with zero or two claims shows at once. An index shift steps along
+the materialized points by index arithmetic; only a target beyond them
+is walked to member by member. ``eval_map`` is the same code on one
+member, so the two cannot disagree.
+
+The checks of one map on one window read one core (``_WindowCore``):
+the materialization, the sample members with their float keys and
+indices read from it, the clause claims, and the images. An image is
+evaluated when a check first asks for it and kept. What a check pays for
+therefore follows what it reads. The pair, bijection, betweenness and
+Lipschitz checks read every sample (``collect_samples``), and each image
+is evaluated once per core. The endomorphism check reads the samples in
+x order and stops at its first escape, evaluating past it only the
+members that could still raise. The round trips of the bijection check
+evaluate the inverse only up to their first failing sample.
 
 Each check names only its first witness, or None, testing in a fixed
 order; ``_report`` is the one place that turns it into a ``CheckReport``.
@@ -36,7 +47,6 @@ from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from heapq import merge
 from itertools import combinations
 from typing import Optional, Union
 
@@ -195,7 +205,7 @@ def _eval_member(
 ) -> Scalar:
     """eval_map at an x already known to be a member;
     a window materialization, when given, answers index facts it decides."""
-    (image,) = _eval_members(desc, space, (x,), cap, mat)
+    image = _Images(desc, space, (x,), cap, mat)[0]
     if isinstance(image, PlastiError):
         raise image
     return image
@@ -234,33 +244,33 @@ def _shift_images(points: Optional[tuple], at: array, steps: int, blocked: list)
     return image
 
 
-def _eval_members(
-    desc: MapDescription,
-    space: SubspaceDescription,
-    xs,
-    cap: int,
-    mat: Optional[Materialization] = None,
-    order=None,
-):
-    """Yield the image of xs[i] for each i of ``order``, by default each of
-    the strictly ascending members ``xs`` in turn, or the plasti error that
-    evaluating the map at that member alone raises.
+_UNKNOWN = object()  # an image not evaluated yet
+
+
+def _claims(desc, space, xs, cap, mat, keys, at) -> tuple:
+    """(owner, clauses, counts, errors, deferred) for the strictly
+    ascending members ``xs``: the first clause that claims each member, or
+    -1; per clause, the members it claims, the image of one as a function
+    of its index (None: walk to it) and the scope and steps of a walk; the
+    number of clauses that claim a member, where more than one; the first
+    error testing a clause raised at a member, with the place of that
+    clause among the others; and the shift clauses whose scope is still to
+    be tested at a member.
 
     Each clause finds the members it claims as index runs of ``xs``: table
     keys and the ends of affine domains and shift restrictions are located
     by float keys. Inside the window and outside its truncation zones the
     materialization decides a shift's scope, by a lookup in the scope's
-    points; elsewhere ``contains`` does, member by member. A member where
-    testing a clause raises gets the first such error in clause order, and
-    one that no clause or two clauses claim gets the error for that. Affine
-    runs are mapped by ``_affine_images``, and a shift steps along the
-    scope's points by index arithmetic; only a target that leaves them, or
-    lies past a truncation zone, is walked to by ``successor`` or
-    ``predecessor``, and only when its image is asked for, so a caller that
-    stops at the first failure walks no further.
+    points. Elsewhere ``contains`` decides it, member by member, and only
+    when that member's image is asked for (``_Images``).
+
+    ``keys``, the float keys of xs, and ``at``, the index of each in the
+    materialization's ``points`` (-1 where it is not one), are computed
+    where the caller passes None.
     """
     n = len(xs)
-    keys = array("d", map(_float_key, xs))
+    if keys is None:
+        keys = array("d", map(_float_key, xs))
 
     def index(value, past: bool) -> int:
         """How many of xs lie below ``value``, or at or below it when ``past``."""
@@ -281,8 +291,9 @@ def _eval_members(
             exact[cut.start : cut.stop] = bytes(len(cut))
 
     owner = [-1] * n  # the first clause that claims each member
-    claims: dict = {}  # member -> number of clauses that claim it, where more than one
-    errors: dict = {}  # member -> the first error raised testing a clause there
+    counts: dict = {}  # member -> number of clauses that claim it, where more than one
+    errors: dict = {}  # member -> (place, error): the first error raised testing a clause there
+    deferred: dict = {}  # member -> the shift clauses whose scope is tested there on demand
     # per clause: the members it claims, the image of one (None: walk to
     # it), and the scope and steps of a walk
     clauses: list = []
@@ -293,7 +304,7 @@ def _eval_members(
             if owner[i] < 0:
                 owner[i] = c
             else:
-                claims[i] = claims.get(i, 1) + 1
+                counts[i] = counts.get(i, 1) + 1
         clauses.append((members, image, walk))
 
     for clause in desc.clauses:
@@ -311,55 +322,124 @@ def _eval_members(
             try:
                 scope = _shift_scope(clause, space)
             except MapError as err:
-                for i in members:
-                    errors.setdefault(i, err)
+                for i in members:  # its place: the clauses before it and any after it
+                    errors.setdefault(i, (len(clauses), err))
                 continue
             walked = space if scope is None else SubspaceDescription((space.components[scope],))
             points = None if mat is None else mat.scope_points(scope)
-            at, blocked = array("q", [-1]) * n, []  # each member's index in the scope's points
+            found, blocked = array("q", [-1]) * n, []  # each member's index in the scope's points
             if points is not None:
-                span = slice(members.start, members.stop)
-                at[span] = mat.indices(scope, xs[span], keys[span])
+                if at is not None and points is mat.points:
+                    found = at
+                else:
+                    span = slice(members.start, members.stop)
+                    found[span] = mat.indices(scope, xs[span], keys[span])
                 blocked = mat.blocked(scope, clause.steps)
             mine = array("q")
             for i in members:
                 if exact[i] and (scope is None or points is not None):
-                    if scope is None or at[i] >= 0:  # a member, or a point of the component
+                    if scope is None or found[i] >= 0:  # a member, or a point of the component
                         mine.append(i)
-                    continue
-                try:
-                    if contains(walked, xs[i], cap):
-                        mine.append(i)
-                except PlastiError as err:
-                    errors.setdefault(i, err)
-            claim(mine, _shift_images(points, at, clause.steps, blocked), (walked, clause.steps))
+                else:
+                    deferred.setdefault(i, []).append(len(clauses))
+            claim(mine, _shift_images(points, found, clause.steps, blocked), (walked, clause.steps))
         else:
             raise MapError(f"unknown clause {clause!r}")
+    return owner, clauses, counts, errors, deferred
 
-    images: list = [None] * n
-    unclaimed = [i for i in range(n) if owner[i] < 0] if -1 in owner else []
-    for i in [*errors, *claims, *unclaimed]:
-        if i in errors:
-            images[i] = errors[i]
-        elif i in claims:
-            images[i] = AmbiguousPiece(f"{claims[i]} clauses claim {format_scalar(xs[i])}")
-        else:
-            images[i] = NoPieceApplies(f"no clause claims {format_scalar(xs[i])}")
-        owner[i] = -2  # answered
-    walks = {}  # member -> (scope, steps) of the walk to its image
-    for c, (members, image, walk) in enumerate(clauses):
-        for i in [i for i in members if owner[i] == c] if errors or claims else members:
-            if (y := image(i)) is None:
-                walks[i] = walk
-            images[i] = y
-    for i in range(n) if order is None else order:
-        if i in walks:
-            scope, steps = walks.pop(i)
+
+class _Images:
+    """The image of each of the strictly ascending members ``xs`` under a
+    map, or the plasti error that evaluating the map at that member alone
+    raises: ``images[i]``, evaluated when first asked for and kept.
+
+    The clauses claim the members by runs (``_claims``). A member where
+    testing a clause raises gets the first such error in clause order, and
+    one that no clause or two clauses claim gets the error for that. Affine
+    runs are mapped by ``_affine_images``, and a shift steps along the
+    scope's points by index arithmetic; only a target that leaves them, or
+    lies past a truncation zone, is walked to by ``successor`` or
+    ``predecessor``. So only a claim error or a walk makes an image an
+    error, and a caller that stops at its first failure makes no walk, and
+    no scope test outside the window, for a member it did not ask for.
+    """
+
+    __slots__ = ("xs", "cap", "owner", "clauses", "images", "_counts", "_errors", "_deferred")
+
+    def __init__(self, desc, space, xs, cap, mat=None, keys=None, at=None):
+        self.xs, self.cap, self.images = xs, cap, [_UNKNOWN] * len(xs)
+        claimed = _claims(desc, space, xs, cap, mat, keys, at)
+        self.owner, self.clauses, self._counts, self._errors, self._deferred = claimed
+        owner = self.owner
+        unclaimed = [i for i in range(len(xs)) if owner[i] < 0] if -1 in owner else []
+        for i in {*self._errors, *self._counts, *unclaimed} - self._deferred.keys():
+            self._settle(i, ())
+
+    def _settle(self, i: int, tests) -> None:
+        """Fix which clause claims member i, after the scope tests
+        ``tests`` (clause indices, ascending) deferred to now; its image is
+        an error when a test raises first, or when no clause or two claim it."""
+        first, count = self.owner[i], self._counts.get(i, int(self.owner[i] >= 0))
+        place, error = self._errors.get(i, (len(self.clauses), None))
+        for c in tests:
+            if c >= place:  # the clause that raised comes first
+                break
             try:
-                images[i] = _walk(scope, xs[i], steps, cap)
+                inside = contains(self.clauses[c][2][0], self.xs[i], self.cap)
             except PlastiError as err:
-                images[i] = err
-        yield images[i]
+                error = err
+                break
+            if inside:
+                first, count = c if first < 0 else first, count + 1
+        if error is None and count == 1:
+            self.owner[i] = first
+            return
+        if error is None and count:
+            error = AmbiguousPiece(f"{count} clauses claim {format_scalar(self.xs[i])}")
+        elif error is None:
+            error = NoPieceApplies(f"no clause claims {format_scalar(self.xs[i])}")
+        self.owner[i], self.images[i] = -1, error
+
+    def __getitem__(self, i: int):
+        y = self.images[i]
+        if y is _UNKNOWN:
+            tests = self._deferred.pop(i, None)
+            if tests is not None:
+                self._settle(i, tests)
+                if self.owner[i] < 0:
+                    return self.images[i]
+            _, image, walk = self.clauses[self.owner[i]]
+            y = image(i)
+            if y is None:
+                scope, steps = walk
+                try:
+                    y = _walk(scope, self.xs[i], steps, self.cap)
+                except PlastiError as err:
+                    y = err
+            self.images[i] = y
+        return y
+
+    def values(self, start: int, stop: int) -> list:
+        """The images of xs[start:stop], or the first error, in x order, among them raised."""
+        out = [self[i] for i in range(start, stop)]
+        for y in out:
+            if isinstance(y, PlastiError):
+                raise y
+        return out
+
+    def first_error(self, start: int) -> Optional[PlastiError]:
+        """The first error among the images of xs[start:], in x order, or
+        None. Only the images that can be errors are evaluated: claim
+        errors, those with a scope test still to make, and those of
+        shifts, which may walk."""
+        owner, clauses, deferred = self.owner, self.clauses, self._deferred
+        for i in range(start, len(owner)):
+            c = owner[i]
+            if c < 0 or clauses[c][2] is not None or i in deferred:
+                y = self[i]
+                if isinstance(y, PlastiError):
+                    return y
+        return None
 
 
 def orbit(
@@ -473,32 +553,49 @@ def _clip(value, lo: Scalar, hi: Scalar) -> Scalar:
     return min(max(value, lo), hi)
 
 
-# One map's checks run back to back (the bijection check adds its
-# inverse), so two entries cover them. The bound keeps memory flat: each
-# entry pins a materialization and one exact image per window member.
-@lru_cache(maxsize=2)
-def collect_samples(
-    desc: MapDescription,
-    space: SubspaceDescription,
-    window: Window,
-    cap: int = DEFAULT_CAP,
-) -> WindowSamples:
-    """Materialize the window and pin down everything the checks need.
+@frozen
+class _WindowCore:
+    """One map on one window, as every check reads it: the
+    materialization, the sample members ``xs`` with their images (an
+    ``_Images``), the piece spans, and the limit samples at span ends."""
 
-    Raises NoPieceApplies / AmbiguousPiece when the clause cover is broken
-    anywhere on the window (a stretch or single member with zero or two
-    claiming clauses), mirroring what evaluation would do there.
+    materialization: Materialization
+    xs: tuple
+    images: _Images
+    spans: tuple
+    limits: tuple
+    subsampled: bool
+
+
+# One map's checks run back to back (the bijection check adds its
+# inverse), so two entries cover them, here and in collect_samples. The
+# bound keeps memory flat: each entry pins a materialization, and the
+# images of one map on at most MAX_PAIR_SAMPLES of its points plus its
+# cut points, as far as the checks have asked for them.
+@lru_cache(maxsize=2)
+def _window_core(
+    desc: MapDescription, space: SubspaceDescription, window: Window, cap: int
+) -> _WindowCore:
+    """Materialize the window, choose the sample members and claim them.
+
+    The sample members are the materialization's points, every
+    ``stride``-th of them past ``MAX_PAIR_SAMPLES`` and the last, then the
+    table keys and fragment cut points that are members. A slice of the
+    points already has its float keys in the materialization, and its
+    positions there are the slice indices, so those are read, not looked
+    up. Raises NoPieceApplies / AmbiguousPiece when the pieces leave a
+    stretch of a fragment unclaimed or claim it twice; images are left to
+    the checks.
     """
     mat = materialize(space, window, cap)
-    pts = list(mat.points)
-    subsampled = False
-    if len(pts) > MAX_PAIR_SAMPLES:
+    pts, keys = mat.points, mat._point_keys(None)
+    at = range(len(pts))
+    subsampled = len(pts) > MAX_PAIR_SAMPLES
+    if subsampled:
         stride = -(-len(pts) // MAX_PAIR_SAMPLES)
-        kept = pts[::stride]
-        if kept[-1] != pts[-1]:
-            kept.append(pts[-1])
-        pts = kept
-        subsampled = True
+        last = [len(pts) - 1] if (len(pts) - 1) % stride else []
+        at = [*range(0, len(pts), stride), *last]
+        pts, keys = [pts[i] for i in at], array("d", [keys[i] for i in at])
     extra_xs = set()  # members besides the materialized points: table keys, cut points
     for clause in desc.clauses:
         if isinstance(clause, Table):
@@ -548,25 +645,51 @@ def collect_samples(
 
     # materialized points, table keys that are members and fragment points
     # are all members, so they skip eval_map's membership test
+    xs, at = list(pts), array("q", at)
     extra_xs = sorted(x for x in extra_xs if not in_sorted(pts, x))
-    xs = list(merge(pts, extra_xs))
-    images = []
-    for image in _eval_members(desc, space, xs, cap, mat):
-        if isinstance(image, PlastiError):
-            raise image  # the first member, in x order, where evaluation fails
-        images.append(image)
-    point_samples = tuple(Sample(x, y, True) for x, y in zip(xs, images))
+    if extra_xs:
+        extra_keys = array("d", map(_float_key, extra_xs))
+        places = [_locate(pts, keys, x) + k for k, x in enumerate(extra_xs)]
+        keys = array("d", keys)  # a copy: the materialization's keys stay as they are
+        for place, x, fx, a in zip(places, extra_xs, extra_keys, mat.indices(None, extra_xs, extra_keys)):
+            xs.insert(place, x)
+            keys.insert(place, fx)
+            at.insert(place, a)
+    xs = tuple(xs)
+    images = _Images(desc, space, xs, cap, mat, keys, at)
+    return _WindowCore(mat, xs, images, tuple(spans), tuple(limit_samples), subsampled)
+
+
+@lru_cache(maxsize=2)
+def collect_samples(
+    desc: MapDescription,
+    space: SubspaceDescription,
+    window: Window,
+    cap: int = DEFAULT_CAP,
+) -> WindowSamples:
+    """Materialize the window and pin down everything the checks need.
+
+    Raises NoPieceApplies / AmbiguousPiece when the clause cover is broken
+    anywhere on the window (a stretch or single member with zero or two
+    claiming clauses), mirroring what evaluation would do there. This is
+    the core completed: every image evaluated, or the first error among
+    them, in x order, raised.
+    """
+    core = _window_core(desc, space, window, cap)
+    images = core.images.values(0, len(core.xs))
+    point_samples = tuple(Sample(x, y, True) for x, y in zip(core.xs, images))
+    limit_samples = core.limits
     # A member cut point whose true image equals the piece limit makes the
     # duplicate limit sample redundant; keep limits only when they differ.
     if limit_samples:
         true_at = {s.x: s.value for s in point_samples}
         limit_samples = [s for s in limit_samples if s.x not in true_at or s.value != true_at[s.x]]
     return WindowSamples(
-        materialization=mat,
+        materialization=core.materialization,
         point_samples=point_samples,
         limit_samples=tuple(limit_samples),
-        spans=tuple(spans),
-        subsampled=subsampled,
+        spans=core.spans,
+        subsampled=core.subsampled,
     )
 
 
@@ -639,24 +762,24 @@ def check_endomorphism(
 ) -> CheckReport:
     """Do all window members land back in the space?
 
-    Points are checked directly. An affine piece maps each fragment stretch
-    onto an interval, whose interior must lie in the space; a value of it
-    outside the space, pulled back through the piece, is the witness.
+    Points are checked directly, in x order, and the check stops at the
+    first image that leaves the space. An affine piece maps each fragment
+    stretch onto an interval, whose interior must lie in the space; a
+    value of it outside the space, pulled back through the piece, is the
+    witness. An image the map cannot evaluate is an error wherever it is
+    in the window, so it wins over any witness.
     """
-    ws = collect_samples(desc, space, window, cap)
-    return _report("endomorphism", window, ws, _escape(space, ws, cap))
+    core = _window_core(desc, space, window, cap)
+    return _report("endomorphism", window, core, _escape(space, core, cap))
 
 
-def _escape(space: SubspaceDescription, ws: WindowSamples, cap: int) -> Optional[Witness]:
+def _escape(space: SubspaceDescription, core: _WindowCore, cap: int) -> Optional[Witness]:
     """The first image of a window member that leaves the space."""
-    mat = ws.materialization
-    i, error = _first_outside(space, [s.value for s in ws.point_samples], cap, mat)
-    if error is not None:
-        raise error
-    if i < len(ws.point_samples):
-        s = ws.point_samples[i]
-        return Witness((s.x,), (s.value,), "image leaves the space")
-    for span in ws.spans:
+    mat = core.materialization
+    i = _first_escape(space, core.images, cap, mat)
+    if i is not None:
+        return Witness((core.xs[i],), (core.images[i],), "image leaves the space")
+    for span in core.spans:
         va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
         image_lo, image_hi = min(va, vb), max(va, vb)
         if image_lo == image_hi and not _member(space, image_lo, cap, mat):
@@ -667,6 +790,39 @@ def _escape(space: SubspaceDescription, ws: WindowSamples, cap: int) -> Optional
             bad = (y - span.piece.intercept) / span.piece.slope
             return Witness((bad,), (y,), "piece image leaves the space")
     return None
+
+
+def _first_escape(
+    space: SubspaceDescription, images: _Images, cap: int, mat: Materialization
+) -> Optional[int]:
+    """The first member, in x order, whose image is not a member of the
+    space, or None; it raises the first error evaluating an image raises,
+    else the first error testing one raises.
+
+    Images are evaluated and tested for membership in blocks that start at
+    one member and double. At the first failure only the later members
+    whose evaluation can still raise are evaluated (``first_error``), so
+    an error there wins as if every image had been evaluated first. When
+    every image is a member, each was evaluated and tested once."""
+    for start, stop in _blocks(len(images.xs)):
+        values = images.values(start, stop)
+        i, error = _first_outside(space, values, cap, mat)
+        if i < len(values):
+            error = images.first_error(stop) or error
+            if error is not None:
+                raise error
+            return start + i
+    return None
+
+
+def _blocks(n: int):
+    """The (start, stop) of consecutive blocks of range(n) that start at
+    one index and double, so a scan that stops at index i has read fewer
+    than 2i + 2 indices, in about log2(i) blocks."""
+    start, size = 0, 1
+    while start < n:
+        yield start, min(start + size, n)
+        start, size = start + size, 2 * size
 
 
 def _first_outside(space: SubspaceDescription, values: list, cap: int, mat: Materialization) -> tuple:
@@ -1028,28 +1184,36 @@ def _round_trip(
 ) -> Optional[Witness]:
     """The first point sample whose image ``leaves`` the space or is not undone by ``back``.
 
-    Images are tested for membership in sample order up to the first that
-    fails (``_first_outside``); ``back`` then claims the distinct images
-    before it by runs, ascending, and each sample is tested in order, so no
-    walk is made for a sample past the first that fails."""
+    ``back`` claims the distinct images by runs, ascending. The samples
+    are then read in blocks that start at one sample and double: a block's
+    images are tested for membership up to the first that fails
+    (``_first_outside``), and each sample before it is taken back in
+    order. So no image past the block of the first failing sample is
+    tested, and ``back`` is evaluated, walks and scope tests outside the
+    window included, at no image past that sample."""
     mat = ws.materialization
     samples = ws.point_samples
-    stop, failure = _first_outside(space, [s.value for s in samples], cap, mat)
-    values = [s.value for s in samples[:stop]]
+    values = [s.value for s in samples]
     keys = array("d", map(_float_key, values))
-    ys, rank = [], array("q", bytes(8 * stop))  # the distinct images ascending; each one's place
-    for i in sorted(range(stop), key=lambda i: (keys[i], values[i])):
+    ys, rank = [], array("q", bytes(8 * len(values)))  # the distinct images ascending; each one's place
+    for i in sorted(range(len(values)), key=lambda i: (keys[i], values[i])):
         if not ys or values[i] != ys[-1]:
             ys.append(values[i])
         rank[i] = len(ys) - 1
-    for s, image in zip(samples, _eval_members(back, space, ys, cap, mat, rank)):
-        if isinstance(image, PlastiError):
-            raise image
-        if image != s.x:
-            return Witness((s.x,), (s.value,), undo)
-    if failure is not None:
-        raise failure
-    return None if stop == len(samples) else Witness((samples[stop].x,), (samples[stop].value,), leaves)
+    images = _Images(back, space, ys, cap, mat)
+    for lo, hi in _blocks(len(samples)):
+        stop, failure = _first_outside(space, values[lo:hi], cap, mat)
+        for i in range(lo, lo + stop):
+            image = images[rank[i]]
+            if isinstance(image, PlastiError):
+                raise image
+            if image != samples[i].x:
+                return Witness((samples[i].x,), (values[i],), undo)
+        if failure is not None:
+            raise failure
+        if lo + stop < hi:
+            return Witness((samples[lo + stop].x,), (values[lo + stop],), leaves)
+    return None
 
 
 def _image_overlap(a: PieceSpan, b: PieceSpan) -> Optional[Scalar]:

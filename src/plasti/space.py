@@ -1183,8 +1183,8 @@ class Materialization:
 
     Lookups find x in a sorted point tuple by a shadow ``array('d')`` of
     the points' float keys (``_float_key``): ``materialize`` stores the
-    keys of ``points``, and those of a component's points are built on the
-    first lookup in them. The key is monotone, so bisecting the floats
+    keys of ``points`` and of each component's points, one float per point.
+    The key is monotone, so bisecting the floats
     brackets x's place exactly and only points whose floats equal x's are
     compared as Fractions: lookups give the index plain bisection gives.
     The window edges and the zone ends have keys too, and decide where the
@@ -1409,10 +1409,12 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
     zones: list = []
     per_component: list = []
     sources = []  # the components that supply points
+    listed = {}  # gap sequence -> where its points start in ``points``
     for c, comp in enumerate(space.components):
         if isinstance(comp, GapSequence):
             pts, trunc, zs = _materialize_points(comp, window, cap)
             per_component.append(pts)
+            listed[c] = len(points)
             points.extend(pts)
             truncated.extend(trunc)
             zones.extend(zs)
@@ -1449,6 +1451,8 @@ def materialize(space: SubspaceDescription, window: Window, cap: int = DEFAULT_C
                         raise SpaceError(f"components overlap at point {format_scalar(a)}")
             start = i
         float_keys = {None: keys}
+        for c, at in listed.items():  # a gap sequence's points keep their keys
+            float_keys[c] = array("d", unsorted[at : at + len(per_component[c])])
     fragments.sort(key=lambda f: (f.interval.lo.value, f.interval.hi.value))
     for a, b in zip(fragments, fragments[1:]):
         if a.interval.overlaps(b.interval):

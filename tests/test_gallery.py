@@ -2,7 +2,10 @@
 
 ``golden/gallery/<id>.json`` holds the output of
 ``plasti gallery <id> --verify --json``; verdicts, witnesses and report
-text must stay byte-identical to it.
+text must stay byte-identical to it. The gallery output reports an
+unknown verdict without the candidates behind it, so
+``golden/falsifications.json`` pins each candidate's outcome, by name,
+for the entries whose family has a witness or an error to report.
 """
 
 import json
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from plasti.classify import run_falsifications
 from plasti.cli import main
 from plasti.errors import UnknownGalleryId
 from plasti.gallery import GALLERY_IDS, gallery_entry
@@ -46,6 +50,17 @@ def test_entry_verifies(entry_id, capsys):
     failed = [r for r in json.loads(out)["expectations"] if not r["passed"]]
     assert code == 0 and not failed, f"{entry_id} failed: {failed}"
     assert out.encode() == (GOLDEN / f"{entry_id}.json").read_bytes()
+
+
+FALSIFIED = ("example1", "integers", "example310", "r-minus-z", "prop314-open")
+
+
+@pytest.mark.parametrize("entry_id", FALSIFIED)
+def test_falsification_outcomes_match_the_golden(entry_id):
+    entry = gallery_entry(entry_id)
+    attempts = run_falsifications(entry.space, entry.window)
+    golden = json.loads((GOLDEN.parent / "falsifications.json").read_text())
+    assert [[a.name, a.outcome] for a in attempts] == golden[entry_id]
 
 
 def test_unknown_id_raises():

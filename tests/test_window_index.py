@@ -19,7 +19,10 @@ now gap sequences, are compared with the code that answered for them as
 component kinds of their own. Map evaluation by clause runs is compared
 with ``reference_eval``, the per-member clause ladder it replaced, and
 the round trips of the bijection check with ``reference_round_trip``,
-their sample-by-sample loop. Index shifts along a materialization are
+their sample-by-sample loop. The endomorphism and bijection checks read
+their images on demand and stop at their first witness; they are
+compared with the eager checks they replaced, which evaluate every
+sample first (``reference_collect_samples``). Index shifts along a materialization are
 read as run evaluation reads them (``indexed_shift``) and compared with
 the successor search.
 """
@@ -27,6 +30,7 @@ the successor search.
 import bisect
 from array import array
 from fractions import Fraction as F
+from itertools import combinations
 from math import inf
 from typing import Optional
 
@@ -50,14 +54,17 @@ from plasti.maps import (
     Sample,
     Table,
     WindowSamples,
+    _Images,
     _eval_member,
-    _escape,
-    _eval_members,
+    _first_escape,
     _round_trip,
     _shift_images,
+    check_bijection,
+    check_endomorphism,
     collect_samples,
     full_line,
 )
+from plasti.parser import parse_map, parse_space
 from plasti.scalar import NEG_INF, POS_INF, format_scalar
 from plasti.space import (
     AffineGaps,
@@ -802,6 +809,12 @@ SHIFTS_AND_A_TABLE = MapDescription(
 )
 
 
+# the integers, and a walked side from 1/3 that passes 2 in three steps
+RECIP_BESIDE = SubspaceDescription(
+    (ArithmeticProgression(F(0), F(1), "right"), GapSequence(F(1, 3), right=ReciprocalGaps(F(0))))
+)
+
+
 def eval_case(space, window, cap, desc):
     mat = materialize(space, window, cap)
     return space, mat, cap, members_near(space, mat, cap), desc
@@ -839,17 +852,28 @@ def eval_case(space, window, cap, desc):
         ),
     )
 )
+# the shift that names a missing component comes first, so its error wins
+# over the scope test at 100, outside the window, which walks past the cap
+@example(
+    (
+        RECIP_BESIDE,
+        materialize(RECIP_BESIDE, Window(F(0), F(2)), 3),
+        3,
+        [F(0), F(1), F(100)],
+        MapDescription(clauses=(IndexShift(7, 1), IndexShift(1, -1))),
+    )
+)
 def test_evaluation_matches_the_clause_ladder(case):
     space, mat, cap, xs, desc = case
     for m in (mat, None):
         expected = [outcome(reference_eval, desc, space, x, cap, m) for x in xs]
         assert [outcome(_eval_member, desc, space, x, cap, m) for x in xs] == expected
-        images = _eval_members(desc, space, xs, cap, m)
-        assert [as_outcome(y) for y in images] == expected
+        images = _Images(desc, space, xs, cap, m)
+        assert [as_outcome(images[i]) for i in range(len(xs))] == expected
         # asked for in descending order, and each twice
         order = [i for i in reversed(range(len(xs))) for _ in (0, 1)]
-        images = _eval_members(desc, space, xs, cap, m, order)
-        assert [as_outcome(y) for y in images] == [expected[i] for i in order]
+        images = _Images(desc, space, xs, cap, m)
+        assert [as_outcome(images[i]) for i in order] == [expected[i] for i in order]
 
 
 def reference_member(space, x, cap, mat) -> bool:
@@ -867,19 +891,19 @@ def reference_round_trip(ws, back, space, cap):
     return None
 
 
-def reference_escape(ws, space, cap):
-    """The first sample whose image is not a member, tested in sample order."""
-    for s in ws.point_samples:
-        if not reference_member(space, s.value, cap, ws.materialization):
-            return s.x
-    return None
+def reference_first_escape(desc, space, xs, cap, mat):
+    """Every image evaluated first, in x order, raising the first error;
+    then the first image that is not a member, tested in x order."""
+    images = [reference_eval(desc, space, x, cap, mat) for x in xs]
+    return next((i for i, y in enumerate(images) if not reference_member(space, y, cap, mat)), None)
 
 
 @given(eval_cases(), st.data())
 def test_round_trips_and_escapes_match_the_sample_loop(case, data):
     space, mat, cap, xs, desc = case
-    evaluated = zip(xs, _eval_members(desc, space, xs, cap, mat))
-    images = [(x, y) for x, y in evaluated if not isinstance(y, PlastiError)]
+    evaluated = _Images(desc, space, xs, cap, mat)
+    images = [(x, evaluated[i]) for i, x in enumerate(xs)]
+    images = [(x, y) for x, y in images if not isinstance(y, PlastiError)]
     assume(images)
     back = data.draw(maps_near(sorted(set(xs) | {y for _, y in images}), len(space.components)))
     ws = WindowSamples(mat, tuple(Sample(x, y, True) for x, y in images), (), ())
@@ -887,10 +911,9 @@ def test_round_trips_and_escapes_match_the_sample_loop(case, data):
     if witness[0] == "value" and witness[1] is not None:
         witness = ("value", (witness[1].detail, witness[1].points[0]))
     assert witness == outcome(reference_round_trip, ws, back, space, cap)
-    witness = outcome(_escape, space, ws, cap)
-    if witness[0] == "value" and witness[1] is not None:
-        witness = ("value", witness[1].points[0])
-    assert witness == outcome(reference_escape, ws, space, cap)
+    assert outcome(_first_escape, space, _Images(desc, space, xs, cap, mat), cap, mat) == outcome(
+        reference_first_escape, desc, space, xs, cap, mat
+    )
 
 
 def test_a_round_trip_walks_no_further_than_its_first_failing_sample(monkeypatch):
@@ -910,12 +933,296 @@ def test_a_round_trip_walks_no_further_than_its_first_failing_sample(monkeypatch
     assert len(steps) == 99
 
 
+def test_a_round_trip_tests_membership_only_up_to_its_first_failing_sample(monkeypatch):
+    # the same map as a bijection check: 0 -> 100 is a member, and stepping
+    # back 99 from it gives 1, not 0. One scope test for the inverse's
+    # shift and one for the image; the other ten images are never reached
+    space = parse_space("arith: anchor=0 step=1 dir=both\n")
+    forward = parse_map(
+        "piece: dom=(-inf,+inf) slope=1 icpt=100\ninverse: idxshift: comp=0 k=-99\n"
+    )
+    calls = []
+    monkeypatch.setattr(maps, "contains", lambda *a: calls.append(a) or contains(*a))
+    report = check_bijection(forward, space, Window(F(0), F(10)))
+    assert report.witness.render() == "declared inverse does not undo the map (0 -> 100)"
+    assert len(calls) <= 2
+
+
 def as_outcome(image):
     """An image, or a plasti error, in the form ``outcome`` gives."""
     if isinstance(image, PlastiError):
         return (type(image).__name__, str(image))
     return ("value", image)
 
+
+
+# -------------------------------------------------------------------
+# Window checks against the eager checks
+# -------------------------------------------------------------------
+#
+# The window checks read one core per map and window, whose images are
+# evaluated on demand. The eager code they replace stays here as the
+# reference: ``reference_collect_samples`` evaluates every sample before
+# any check runs, ``reference_escape`` then tests the images in sample
+# order, and ``reference_eager_round_trip`` tests every image for
+# membership before it evaluates the way back.
+
+
+def reference_collect_samples(desc, space, window, cap):
+    mat = materialize(space, window, cap)
+    pts = list(mat.points)
+    subsampled = False
+    if len(pts) > maps.MAX_PAIR_SAMPLES:
+        stride = -(-len(pts) // maps.MAX_PAIR_SAMPLES)
+        kept = pts[::stride]
+        if kept[-1] != pts[-1]:
+            kept.append(pts[-1])
+        pts = kept
+        subsampled = True
+    extra_xs = set()
+    for clause in desc.clauses:
+        if isinstance(clause, Table):
+            for k, _ in clause.entries:
+                if window.contains(k) and maps._member(space, k, cap, mat):
+                    extra_xs.add(k)
+    spans, limit_samples = [], []
+    for frag in mat.fragments:
+        ivl = frag.interval
+        frag_spans = []
+        for piece in (c for c in desc.clauses if isinstance(c, AffinePiece)):
+            lo = max(maps._clip(piece.domain.lo.value, ivl.lo.value, ivl.hi.value), ivl.lo.value)
+            hi = min(maps._clip(piece.domain.hi.value, ivl.lo.value, ivl.hi.value), ivl.hi.value)
+            if lo < hi:
+                frag_spans.append(maps.PieceSpan(piece, lo, hi))
+        frag_spans.sort(key=lambda s: (s.lo, s.hi))
+        for a, b in combinations(frag_spans, 2):
+            if max(a.lo, b.lo) < min(a.hi, b.hi):
+                mid = (max(a.lo, b.lo) + min(a.hi, b.hi)) / 2
+                raise AmbiguousPiece(f"two pieces claim the stretch around {format_scalar(mid)}")
+        cursor = ivl.lo.value
+        for s in frag_spans:
+            if s.lo > cursor:
+                raise NoPieceApplies(
+                    f"no clause claims members between {format_scalar(cursor)} and {format_scalar(s.lo)}"
+                )
+            cursor = max(cursor, s.hi)
+        if cursor < ivl.hi.value:
+            raise NoPieceApplies(
+                f"no clause claims members between {format_scalar(cursor)} and {format_scalar(ivl.hi.value)}"
+            )
+        cuts = {ivl.lo.value, ivl.hi.value}
+        for s in frag_spans:
+            cuts.update((s.lo, s.hi))
+        for x in sorted(cuts):
+            if ivl.contains(x):
+                extra_xs.add(x)
+            for s in frag_spans:
+                if x in (s.lo, s.hi):
+                    limit_samples.append(Sample(x, s.piece.apply(x), False, s))
+        spans.extend(frag_spans)
+    extra_xs = sorted(x for x in extra_xs if x not in pts)
+    xs = sorted(pts + extra_xs)
+    evaluated = _Images(desc, space, xs, cap, mat)
+    images = [evaluated[i] for i in range(len(xs))]
+    for image in images:
+        if isinstance(image, PlastiError):
+            raise image
+    point_samples = tuple(Sample(x, y, True) for x, y in zip(xs, images))
+    true_at = {s.x: s.value for s in point_samples}
+    limit_samples = [s for s in limit_samples if s.x not in true_at or s.value != true_at[s.x]]
+    return WindowSamples(mat, point_samples, tuple(limit_samples), tuple(spans), subsampled)
+
+
+def reference_escape(space, ws, cap):
+    """The first sample image outside the space, every image tested in turn, then the spans."""
+    mat = ws.materialization
+    i, error = maps._first_outside(space, [s.value for s in ws.point_samples], cap, mat)
+    if error is not None:
+        raise error
+    if i < len(ws.point_samples):
+        s = ws.point_samples[i]
+        return maps.Witness((s.x,), (s.value,), "image leaves the space")
+    for span in ws.spans:
+        va, vb = span.piece.apply(span.lo), span.piece.apply(span.hi)
+        image_lo, image_hi = min(va, vb), max(va, vb)
+        if image_lo == image_hi and not maps._member(space, image_lo, cap, mat):
+            q, _ = span.inner_pair()
+            return maps.Witness((q,), (image_lo,), "flat piece lands outside the space")
+        y = maps._value_outside(space, image_lo, image_hi, cap)
+        if y is not None:
+            bad = (y - span.piece.intercept) / span.piece.slope
+            return maps.Witness((bad,), (y,), "piece image leaves the space")
+    return None
+
+
+def reference_eager_round_trip(ws, back, space, cap, leaves, undo):
+    """Every image tested for membership first, then ``back`` on those before the first failure."""
+    mat = ws.materialization
+    samples = ws.point_samples
+    stop, failure = maps._first_outside(space, [s.value for s in samples], cap, mat)
+    ys = sorted({s.value for s in samples[:stop]})
+    rank = [ys.index(s.value) for s in samples[:stop]]
+    images = _Images(back, space, ys, cap, mat)
+    for s, r in zip(samples, rank):
+        image = images[r]
+        if isinstance(image, PlastiError):
+            raise image
+        if image != s.x:
+            return maps.Witness((s.x,), (s.value,), undo)
+    if failure is not None:
+        raise failure
+    return None if stop == len(samples) else maps.Witness((samples[stop].x,), (samples[stop].value,), leaves)
+
+
+def reference_endomorphism(desc, space, window, cap):
+    ws = reference_collect_samples(desc, space, window, cap)
+    return maps._report("endomorphism", window, ws, reference_escape(space, ws, cap))
+
+
+def reference_bijection(desc, space, window, cap):
+    """The bijection check through its declared inverse, on the eager samples."""
+    ws = reference_collect_samples(desc, space, window, cap)
+    witness = maps._collision(ws)
+    if witness is not None:
+        return maps._report("bijection", window, ws, witness)
+    inv = desc.inverse
+    inv_ws = reference_collect_samples(inv, space, window, cap)
+    leaves, undo = "image leaves the space, cannot be onto", "declared inverse does not undo the map"
+    witness = reference_eager_round_trip(ws, inv, space, cap, leaves, undo)
+    if witness is None:
+        leaves, undo = "declared inverse leaves the space", "map does not undo the declared inverse"
+        witness = reference_eager_round_trip(inv_ws, desc, space, cap, leaves, undo)
+    onto = "onto certified through the declared inverse on window members"
+    return maps._report("bijection", window, ws, witness, onto)
+
+
+ZONED = (WITH_TAIL, Window(F(0), F(10)), 12)  # the tail is cut after 12 points above 1/4
+
+
+@st.composite
+def window_check_cases(draw):
+    """A discrete space, or the integers with a tail cut short of its
+    limit, and a map with a declared inverse, both near its members:
+    tables, pieces and shifts, with covers that hold and covers that break."""
+    space, window, cap = draw(discrete_spaces() | st.just(ZONED))
+    mat = materialized(space, window, cap)
+    assume(mat is not None)
+    xs = members_near(space, mat, cap)
+    forward = draw(maps_near(xs, len(space.components)))
+    inverse = draw(maps_near(xs, len(space.components)))
+    return space, window, cap, MapDescription(forward.clauses, inverse)
+
+
+NATURALS = SubspaceDescription((ArithmeticProgression(F(0), F(1), "right"),))
+TO_TEN = SubspaceDescription((FinitePoints(tuple(F(k) for k in range(11))),))
+IDENTITY = MapDescription(clauses=(AffinePiece(full_line(), F(1), F(0)),))
+
+
+def with_inverse(*clauses, inverse=IDENTITY):
+    return MapDescription(clauses=clauses, inverse=inverse)
+
+
+@given(window_check_cases())
+# 0 -> 1/2 leaves the space, and the walk up from 10, the last member, finds none
+@example(
+    (
+        TO_TEN,
+        Window(F(0), F(10)),
+        20,
+        with_inverse(
+            AffinePiece(Interval.left_closed(F(0), F(10)), F(1), F(1, 2)),
+            IndexShift("*", 1, Interval.point(F(10))),
+        ),
+    )
+)
+# the second block: testing 100 walks past the cap, and 1/2, which the
+# materialization refuses at once, comes after it
+@example(
+    (
+        WALKED_TWO,
+        Window(F(0), F(3, 2)),
+        3,
+        with_inverse(Table(((F(0), F(0)), (F(1), F(100)), (F(3, 2), F(1, 2))))),
+    )
+)
+# testing 100 walks past the cap, but no clause claims the later 3/2
+@example(
+    (
+        WALKED_TWO,
+        Window(F(0), F(3, 2)),
+        3,
+        with_inverse(Table(((F(0), F(100)), (F(1), F(0))))),
+    )
+)
+# only the last member leaves, and the inverse undoes the rest
+@example(
+    (
+        NATURALS,
+        Window(F(0), F(10)),
+        20,
+        with_inverse(
+            Table(((F(10), F(1, 2)),)),
+            AffinePiece(Interval(Endpoint(NEG_INF, False), Endpoint(F(10), False)), F(1), F(0)),
+        ),
+    )
+)
+# 702 points, every other one sampled and the last: a shift reads each
+# sample's index among all the points
+@example(
+    (
+        NATURALS,
+        Window(F(0), F(701)),
+        1000,
+        with_inverse(
+            IndexShift("*", 1),
+            inverse=MapDescription(
+                clauses=(IndexShift("*", -1, Interval.left_closed(F(1), POS_INF)), Table(((F(0), F(702)),)))
+            ),
+        ),
+    )
+)
+# 0 -> -1 leaves the space, and 13/50, a tail member in the zone, is
+# claimed by the table and by the tail's shift, tested there on demand
+@example(
+    (
+        *ZONED,
+        with_inverse(
+            Table(((F(0), F(-1)), (F(13, 50), F(13, 50)))),
+            AffinePiece(Interval.left_closed(F(1), POS_INF), F(1), F(0)),
+            IndexShift(1, -1),
+        ),
+    )
+)
+# one index down the tail: from the lowest listed tail point the shift
+# is blocked by the zone and walks; the inverse shifts back up
+@example(
+    (
+        *ZONED,
+        with_inverse(
+            Table(((F(0), F(1, 2)),)),
+            AffinePiece(Interval.left_closed(F(1), POS_INF), F(1), F(-1)),
+            IndexShift(1, -1),
+            inverse=MapDescription(
+                clauses=(
+                    Table(((F(1, 2), F(0)), (F(0), F(1)))),
+                    AffinePiece(Interval.open(F(1, 2), POS_INF), F(1), F(1)),
+                    IndexShift(1, 1, Interval.open(F(1, 4), F(1, 2))),
+                )
+            ),
+        ),
+    )
+)
+def test_window_checks_match_the_eager_checks(case):
+    space, window, cap, desc = case
+    assert outcome(check_endomorphism, desc, space, window, cap) == outcome(
+        reference_endomorphism, desc, space, window, cap
+    )
+    assert outcome(collect_samples, desc, space, window, cap) == outcome(
+        reference_collect_samples, desc, space, window, cap
+    )
+    assert outcome(check_bijection, desc, space, window, cap) == outcome(
+        reference_bijection, desc, space, window, cap
+    )
 
 
 # -------------------------------------------------------------------
